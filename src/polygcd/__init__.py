@@ -8,6 +8,7 @@ from .analysis import (
     AnalysisOutcome,
     AtlasEntry,
     GcdAtlas,
+    GcdProfile,
     NotSquarefree,
     ZeroResultant,
     analyze,
@@ -67,6 +68,7 @@ __all__ = [
     "Factorization",
     "FactorizationFailed",
     "GcdAtlas",
+    "GcdProfile",
     "InputError",
     "IntMatrix",
     "IntPoly",

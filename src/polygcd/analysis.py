@@ -11,13 +11,19 @@ mod p otherwise) with the Chinese remainder theorem.
 
 When the hypothesis fails the function still reports what it can: a zero
 resultant comes back with the common factor in Z[x]; a non-square-free
-resultant comes back with an empirical brute-force profile (when the
-period is within cap) and the result of the coprime-witness search.
+resultant comes back with the result of the coprime-witness search and,
+when |r| is within the brute-force cap, an exact profile of the gcd values
+over one period.  The profile is built from local tables: the p-part of
+gcd(f(n), g(n)) depends only on n mod p^e for p^e exactly dividing r, so
+the value histogram is the multiplicative convolution of one small table
+per prime power and the minimal period is the product of the local ones.
+Under ``verify`` the profile is checked against the brute-force oracle.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,6 +38,7 @@ __all__ = [
     "RESIDUE_LISTING_CAP",
     "AtlasEntry",
     "GcdAtlas",
+    "GcdProfile",
     "ZeroResultant",
     "NotSquarefree",
     "AnalysisOutcome",
@@ -109,12 +116,27 @@ class ZeroResultant:
 
 
 @dataclass(frozen=True)
+class GcdProfile:
+    """The gcd values over one period [0, modulus), without the values.
+
+    ``histogram`` maps each value gcd(f(n), g(n)) to the number of n in the
+    period realizing it, in ascending order of value; ``gcd_range`` is its
+    keys and ``period`` the smallest positive period of the values.
+    """
+
+    modulus: int
+    histogram: dict[int, int]
+    gcd_range: tuple[int, ...]
+    period: int
+
+
+@dataclass(frozen=True)
 class NotSquarefree:
-    """r != 0 but not square-free: only empirical information is reported."""
+    """r != 0 but not square-free: no atlas, but an exact profile within cap."""
 
     resultant: int
     factorization: Factorization
-    profile: BruteForceProfile | None
+    profile: GcdProfile | None
     witness: int | None
     witness_applicable: bool
 
@@ -135,8 +157,9 @@ def analyze(
     """Classify the pair (f, g) and build the atlas when it exists.
 
     With ``verify=True`` the resultant is cross-checked against the
-    subresultant PRS and, when |r| is within ``brute_cap``, the atlas is
-    compared entry by entry against the brute-force profile.
+    subresultant PRS and, when |r| is within ``brute_cap``, the atlas (entry
+    by entry) or the non-square-free profile is compared against the
+    brute-force oracle.
     """
     r = resultant(f, g, verify=verify)
     if r == 0:
@@ -147,9 +170,9 @@ def analyze(
         return ZeroResultant(common_factor=common, sample_values=samples)
     fact = factor(r, seed=seed)
     if not is_squarefree(fact):
-        profile = (
-            brute_force_profile(f, g, cap=brute_cap) if abs(r) <= brute_cap else None
-        )
+        profile = _gcd_profile(f, g, fact) if abs(r) <= brute_cap else None
+        if verify and profile is not None:
+            _cross_check_profile(profile, brute_force_profile(f, g, cap=brute_cap))
         try:
             witness = coprime_witness(f, g, fact)
             applicable = True
@@ -264,6 +287,97 @@ def _cross_check_atlas(atlas: GcdAtlas, profile: BruteForceProfile) -> None:
             )
 
 
+def _gcd_profile(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization) -> GcdProfile:
+    # The p-parts of gcd(f(n), g(n)) for the different primes p | r are
+    # independent by CRT, so the value histogram is the multiplicative
+    # convolution of the local histograms (their keys are coprime, so no two
+    # products collide) and the minimal period is the product of the local ones.
+    histogram = {1: 1}
+    period = 1
+    for p, e in fact.factors:
+        local, local_period = _local_table(f, g, p, e)
+        histogram = {
+            a * b: ca * cb for a, ca in histogram.items() for b, cb in local.items()
+        }
+        period *= local_period
+    histogram = dict(sorted(histogram.items()))
+    return GcdProfile(
+        modulus=abs(fact.n),
+        histogram=histogram,
+        gcd_range=tuple(histogram),
+        period=period,
+    )
+
+
+def _local_table(
+    f: MonicIntPoly, g: MonicIntPoly, p: int, e: int
+) -> tuple[dict[int, int], int]:
+    """Histogram of the p-part of gcd(f(n), g(n)) over n mod p^e, and its
+    minimal period, for p^e exactly dividing the resultant.
+
+    The p-part never exceeds p^e and depends only on n mod p^e.
+    """
+    if e == 1:
+        # Exactly one common root mod p; a gcd in F_p[x] finds it without
+        # scanning the p residues, which may be many.
+        if common_root_mod_p(f, g, p) is None:
+            raise InvariantBreach(
+                f"gcd of f and g mod {p} does not have degree 1 although {p}"
+                " divides the resultant exactly once"
+            )
+        return {1: p - 1, p: 1}, p
+    # levels[k] holds the residues n mod p^k with p^k | f(n) and p^k | g(n).
+    # Only the p lifts of a residue in levels[k - 1] can lie in levels[k].
+    levels = [[0]]
+    for k in range(1, e + 1):
+        q, step = p**k, p ** (k - 1)
+        levels.append(
+            [
+                n
+                for s in levels[-1]
+                for n in range(s, q, step)
+                if _eval_mod(f, n, q) == 0 and _eval_mod(g, n, q) == 0
+            ]
+        )
+    # at_least[k]: how many n mod p^e have p^k dividing the gcd.
+    at_least = [len(level) * p ** (e - k) for k, level in enumerate(levels)] + [0]
+    histogram = {
+        p**k: at_least[k] - at_least[k + 1]
+        for k in range(e + 1)
+        if at_least[k] != at_least[k + 1]
+    }
+    # p^j is a period iff every deeper level is a union of classes mod p^j.
+    period_exponent = next(
+        j
+        for j in range(e + 1)
+        if all(
+            len({n % p**j for n in levels[k]}) * p ** (k - j) == len(levels[k])
+            for k in range(j + 1, e + 1)
+        )
+    )
+    return histogram, p**period_exponent
+
+
+def _eval_mod(poly: MonicIntPoly, n: int, q: int) -> int:
+    acc = 0
+    for c in poly.coeffs:
+        acc = (acc * n + c) % q
+    return acc
+
+
+def _cross_check_profile(profile: GcdProfile, oracle: BruteForceProfile) -> None:
+    if (profile.modulus, profile.histogram, profile.gcd_range) != (
+        oracle.modulus,
+        oracle.histogram,
+        oracle.gcd_range,
+    ):
+        raise InvariantBreach("the gcd profile disagrees with the brute-force oracle")
+    if profile.period != _minimal_period_of(oracle.values):
+        raise InvariantBreach(
+            f"minimal period {profile.period} disagrees with the brute-force oracle"
+        )
+
+
 def minimal_period(
     f: MonicIntPoly, g: MonicIntPoly, *, cap: int = BRUTE_FORCE_CAP
 ) -> int:
@@ -282,7 +396,7 @@ def minimal_period(
     return _minimal_period_of(values)
 
 
-def _minimal_period_of(values: list[int]) -> int:
+def _minimal_period_of(values: Sequence[int]) -> int:
     modulus = len(values)
     for t in range(1, modulus + 1):
         if modulus % t:

@@ -21,7 +21,6 @@ from .analysis import (
     GcdAtlas,
     NotSquarefree,
     ZeroResultant,
-    _minimal_period_of,
     analyze,
     coprime_witness,
     minimal_period,
@@ -127,7 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> CliConfig:
     seed_text = os.environ.get(SEED_ENV_VAR)
-    seed = int(seed_text) if seed_text else None
+    try:
+        seed = int(seed_text) if seed_text else None
+    except ValueError:
+        raise InputError(f"{SEED_ENV_VAR} must be an integer, got {seed_text!r}") from None
     return CliConfig(
         subcommand=args.subcommand,
         f_text=getattr(args, "f", None),
@@ -281,7 +283,7 @@ def _report_not_squarefree(f, g, outcome: NotSquarefree, config: CliConfig) -> N
             f"{v}: {c}" for v, c in sorted(outcome.profile.histogram.items())
         )
         print(f"gcd value counts: {histogram}")
-        print(f"minimal period: {_minimal_period_of(list(outcome.profile.values))}")
+        print(f"minimal period: {outcome.profile.period}")
     else:
         print(f"|resultant| exceeds the brute-force cap {config.brute_cap}; no empirical profile")
     if outcome.witness_applicable:
@@ -303,8 +305,13 @@ def _cmd_resultant(config: CliConfig) -> int:
 
 def _cmd_snf(config: CliConfig) -> int:
     if config.matrix_path:
-        with open(config.matrix_path, encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(config.matrix_path, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise InputError(
+                f"cannot read matrix file {config.matrix_path!r}: {exc.strerror}"
+            ) from None
     else:
         text = sys.stdin.read()
     rows = [

@@ -6,12 +6,13 @@ schoolbook convolutions, and so on.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
-from polygcd import IntMatrix, IntPoly, MonicIntPoly
+from polygcd import IntMatrix, IntPoly, MonicIntPoly, factor, is_squarefree, resultant
 
 
 def naive_det(rows: list[list[int]]) -> int:
@@ -93,6 +94,37 @@ def random_monic(rng: random.Random, max_degree: int = 4, coeff_bound: int = 9) 
     degree = rng.randint(1, max_degree)
     tail = [rng.randint(-coeff_bound, coeff_bound) for _ in range(degree)]
     return MonicIntPoly(tuple([1] + tail))
+
+
+@functools.cache
+def acceptance_pair_pool() -> tuple[tuple[MonicIntPoly, MonicIntPoly, int], ...]:
+    """The acceptance suite's deterministic stream of (f, g, r) triples.
+
+    Random monic pairs (deg <= 4, coefficients in [-9, 9]); generation
+    continues until at least 500 pairs pass criterion 5's filter: r nonzero,
+    square-free and |r| <= 10^4.
+    """
+    rng = random.Random(0xACCE97)
+    raw = []
+    eligible = 0
+    while eligible < 500:
+        f = random_monic(rng, max_degree=4, coeff_bound=9)
+        g = random_monic(rng, max_degree=4, coeff_bound=9)
+        r = resultant(f, g)
+        raw.append((f, g, r))
+        if r != 0 and abs(r) <= 10**4 and is_squarefree(factor(r)):
+            eligible += 1
+    return tuple(raw)
+
+
+def naive_minimal_period(values) -> int:
+    """Smallest t dividing len(values) with values[n] == values[n + t] cyclically."""
+    m = len(values)
+    return next(
+        t
+        for t in range(1, m + 1)
+        if m % t == 0 and all(values[n] == values[(n + t) % m] for n in range(m))
+    )
 
 
 def random_matrix(rng: random.Random, max_dim: int = 5, bound: int = 9) -> IntMatrix:

@@ -35,7 +35,7 @@ from polygcd import (
     sylvester_matrix,
 )
 
-from support import minor_gcd_products, random_matrix, random_monic
+from support import acceptance_pair_pool, minor_gcd_products, random_matrix, random_monic
 
 P52 = 8936582237915716659950962253358945635793453256935559
 N52 = 8424432925592889329288197322308900672459420460792433
@@ -59,20 +59,8 @@ def mp(text):
 
 @pytest.fixture(scope="module")
 def pair_pool():
-    # One deterministic stream of random monic pairs (deg <= 4, coefficients
-    # in [-9, 9]) shared by criteria 5, 6 and 9; generation continues until
-    # at least 500 pairs pass criterion 5's square-free filter.
-    rng = random.Random(0xACCE97)
-    raw = []
-    eligible = 0
-    while eligible < 500:
-        f = random_monic(rng, max_degree=4, coeff_bound=9)
-        g = random_monic(rng, max_degree=4, coeff_bound=9)
-        r = resultant(f, g)
-        raw.append((f, g, r))
-        if r != 0 and abs(r) <= 10**4 and is_squarefree(factor(r)):
-            eligible += 1
-    return raw
+    # One deterministic stream of pairs shared by criteria 5, 6 and 9.
+    return acceptance_pair_pool()
 
 
 def test_criterion_1_prime_resultant_end_to_end():

@@ -8,6 +8,7 @@ from polygcd import (
     CriterionInapplicable,
     GcdAtlas,
     IntPoly,
+    InvariantBreach,
     MonicIntPoly,
     NotSquarefree,
     ZeroResultant,
@@ -23,7 +24,7 @@ from polygcd import (
 )
 from polygcd.errors import InputError
 
-from support import random_monic
+from support import acceptance_pair_pool, naive_minimal_period, random_monic
 
 
 def mp(text):
@@ -247,6 +248,75 @@ def test_minimal_period_divides_r_and_is_a_true_period():
                 f.evaluate(n + t), g.evaluate(n + t)
             )
         tested += 1
+
+
+# ---------------------------------------------------------------------------
+# the non-square-free profile, built from local prime-power tables
+# ---------------------------------------------------------------------------
+
+
+def assert_profile_matches_brute_force(f, g, profile):
+    oracle = brute_force_profile(f, g)
+    assert profile.modulus == oracle.modulus
+    assert profile.histogram == oracle.histogram
+    assert profile.gcd_range == oracle.gcd_range
+    assert profile.period == naive_minimal_period(oracle.values)
+
+
+@pytest.mark.parametrize(
+    "f_text, g_text, r, histogram, period",
+    [
+        # e >= p: 2^2 divides r.
+        ("x^2-1", "x^2+1", 4, {1: 2, 2: 2}, 2),
+        ("x", "x^2+18", 18, {1: 6, 2: 6, 3: 2, 6: 2, 9: 1, 18: 1}, 18),
+        # 3^2 divides r, but x^2 + 1 has no root mod 3: local period 1.
+        ("x^2+1", "x^2+4", 9, {1: 9}, 1),
+        # gcd(n^2, 2^7) depends only on n mod 16.
+        ("x^2", "x^2+2^7", 2**14, {1: 8192, 4: 4096, 16: 2048, 64: 1024, 128: 1024}, 16),
+        ("x", "x^2-12", -12, {1: 4, 2: 2, 3: 2, 4: 2, 6: 1, 12: 1}, 12),
+    ],
+)
+def test_not_squarefree_profile_worked_cases(f_text, g_text, r, histogram, period):
+    f, g = mp(f_text), mp(g_text)
+    outcome = analyze(f, g)
+    assert isinstance(outcome, NotSquarefree)
+    assert outcome.resultant == r
+    assert outcome.profile.histogram == histogram
+    assert outcome.profile.gcd_range == tuple(sorted(histogram))
+    assert outcome.profile.period == period
+    assert_profile_matches_brute_force(f, g, outcome.profile)
+
+
+def test_not_squarefree_profile_agrees_with_brute_force_on_the_acceptance_pool():
+    checked = 0
+    for f, g, r in acceptance_pair_pool():
+        if r == 0 or abs(r) > 10**4 or is_squarefree(factor(r)):
+            continue
+        outcome = analyze(f, g)
+        assert isinstance(outcome, NotSquarefree)
+        assert_profile_matches_brute_force(f, g, outcome.profile)
+        checked += 1
+    assert checked >= 300
+
+
+def test_analyze_verify_cross_checks_the_not_squarefree_profile(monkeypatch):
+    f, g = mp("x^2"), mp("x^2+2^7")
+    outcome = analyze(f, g, verify=True)
+    assert isinstance(outcome, NotSquarefree)
+    assert outcome.profile.period == 16
+
+    import polygcd.analysis as analysis_module
+
+    real_table = analysis_module._local_table
+
+    def table_with_wrong_period(f, g, p, e):
+        histogram, period = real_table(f, g, p, e)
+        return histogram, period * p
+
+    monkeypatch.setattr(analysis_module, "_local_table", table_with_wrong_period)
+    assert analyze(f, g).profile.period == 32
+    with pytest.raises(InvariantBreach):
+        analyze(f, g, verify=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import ast
 import json
+from pathlib import Path
 
+import polygcd.cli
 from polygcd.cli import main
 
 P52 = "8936582237915716659950962253358945635793453256935559"
@@ -140,6 +143,13 @@ def test_snf_from_file_with_transforms_json(capsys, tmp_path):
     assert len(doc["U"]) == 2 and len(doc["V"]) == 2
 
 
+def test_snf_unreadable_matrix_file_exits_1(capsys, tmp_path):
+    status, out, err = run_cli(capsys, "snf", "--matrix", str(tmp_path / "missing.txt"))
+    assert status == 1 and out == ""
+    assert err.startswith("error: cannot read matrix file")
+    assert len(err.splitlines()) == 1
+
+
 def test_snf_rejects_ragged_matrix(capsys, monkeypatch):
     import io
 
@@ -194,6 +204,13 @@ def test_seed_env_var_is_accepted(capsys, monkeypatch):
     )
     assert status == 0
     assert json.loads(out)["resultant"] == "13"
+
+
+def test_non_integer_seed_env_var_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("POLYGCD_SEED", "abc")
+    status, out, err = run_cli(capsys, "analyze", "--f", "x^2+3", "--g", "(x+1)^2+3")
+    assert status == 1 and out == ""
+    assert err == "error: POLYGCD_SEED must be an integer, got 'abc'\n"
 
 
 def test_analyze_json_zero_resultant(capsys):
@@ -265,3 +282,16 @@ def test_negative_input_polynomial_values(capsys):
     status, out, _ = run_cli(capsys, "resultant", "--f", "x^2 - 1", "--g", "x^2 + 1")
     assert status == 0
     assert out.strip() == "4"
+
+
+def test_cli_imports_no_private_names_from_the_package():
+    tree = ast.parse(Path(polygcd.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "polygcd")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
