@@ -26,13 +26,7 @@ from .errors import (
     PolyGcdError,
 )
 from .linalg import IntMatrix, det_bareiss, resultant, resultant_prs, sylvester_matrix
-from .modp import (
-    PrimeFieldPoly,
-    common_root_mod_p,
-    poly_ext_gcd_mod_p,
-    poly_gcd_mod_p,
-    rank_mod_p,
-)
+from .modp import PrimeFieldPoly, common_root_mod_p, poly_gcd_mod_p
 from .ntheory import (
     DIVISOR_CAP,
     MR_DETERMINISTIC_BOUND,
@@ -41,19 +35,12 @@ from .ntheory import (
     divisors,
     ext_gcd,
     factor,
-    int_gcd,
     is_prime,
     is_squarefree,
 )
-from .oracle import (
-    BRUTE_FORCE_CAP,
-    BruteForceProfile,
-    brute_force_profile,
-    check_divides,
-    check_periodicity,
-)
-from .poly import IntPoly, MonicIntPoly, gcd_over_Z, parse_poly, reduce_mod
-from .snf import SnfResult, invariant_factors, smith_normal_form
+from .oracle import BRUTE_FORCE_CAP, BruteForceProfile, brute_force_profile
+from .poly import IntPoly, MonicIntPoly, gcd_over_Z, parse_poly
+from .snf import SnfResult, smith_normal_form
 
 __version__ = "0.1.0"
 
@@ -85,8 +72,6 @@ __all__ = [
     "analyze",
     "build_atlas",
     "brute_force_profile",
-    "check_divides",
-    "check_periodicity",
     "common_root_mod_p",
     "coprime_witness",
     "crt",
@@ -95,16 +80,11 @@ __all__ = [
     "ext_gcd",
     "factor",
     "gcd_over_Z",
-    "int_gcd",
-    "invariant_factors",
     "is_prime",
     "is_squarefree",
     "minimal_period",
     "parse_poly",
-    "poly_ext_gcd_mod_p",
     "poly_gcd_mod_p",
-    "rank_mod_p",
-    "reduce_mod",
     "resultant",
     "resultant_prs",
     "smith_normal_form",

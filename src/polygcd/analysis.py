@@ -5,9 +5,9 @@ divisor d of r occurs as gcd(f(n), g(n)), and within one period of length
 |r| it occurs exactly prod(p - 1) times, the product running over the
 primes p dividing |r|/d.  ``analyze`` turns that statement into data: for
 each prime p | r the unique residue c_p with f(c_p) = g(c_p) = 0 mod p is
-extracted, and the residues realizing each divisor are enumerated by
-combining the per-prime constraints (n = c_p mod p for p | d, n != c_p
-mod p otherwise) with the Chinese remainder theorem.
+extracted, and with c the CRT combination of the c_p,
+gcd(f(n), g(n)) = gcd(n - c, |r|).  So the residues realizing d are the
+n = c mod d with gcd((n - c) / d, |r| / d) = 1, listed by one ascending walk.
 
 When the hypothesis fails the function still reports what it can: a zero
 resultant comes back with the common factor in Z[x]; a non-square-free
@@ -21,7 +21,6 @@ Under ``verify`` the profile is checked against the brute-force oracle.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -204,19 +203,12 @@ def build_atlas(
         raise InputError("build_atlas needs a square-free resultant")
     modulus = abs(fact.n)
     primes = list(fact.primes())
-    roots: dict[int, int] = {}
-    for p in primes:
-        c = common_root_mod_p(f, g, p)
-        if c is None:
-            raise InvariantBreach(
-                f"gcd of f and g mod {p} does not have degree 1 although the"
-                " resultant is square-free"
-            )
-        roots[p] = c
+    roots = {p: _common_root(f, g, p) for p in primes}
+    c = crt((roots[p], p) for p in primes)[0]
     entries = []
     total = 0
     for d in divisors(fact, cap=divisor_cap):
-        entry = _atlas_entry(modulus, primes, roots, d, residue_cap)
+        entry = _atlas_entry(modulus, primes, c, d, residue_cap)
         total += entry.multiplicity
         entries.append(entry)
     if total != modulus:
@@ -237,37 +229,30 @@ def build_atlas(
 
 
 def _atlas_entry(
-    modulus: int,
-    primes: list[int],
-    roots: dict[int, int],
-    d: int,
-    residue_cap: int,
+    modulus: int, primes: list[int], c: int, d: int, residue_cap: int
 ) -> AtlasEntry:
-    fixed = [p for p in primes if d % p == 0]
-    free = [p for p in primes if d % p != 0]
-    multiplicity = math.prod(p - 1 for p in free)
-    if multiplicity <= residue_cap:
-        # Enumerate every per-prime choice and combine by CRT.
-        basis = {p: (modulus // p) * pow(modulus // p, -1, p) for p in primes}
-        options = [
-            [roots[p]] if p in fixed else [x for x in range(p) if x != roots[p]]
-            for p in primes
-        ]
-        residues = sorted(
-            sum(c * basis[p] for c, p in zip(combo, primes)) % modulus
-            for combo in itertools.product(*options)
+    # gcd(f(n), g(n)) = gcd(n - c, |r|), so d is realized exactly by the
+    # n = c (mod d) whose cofactor (n - c) / d is coprime to |r| / d.
+    multiplicity = math.prod(p - 1 for p in primes if d % p)
+    cofactor = modulus // d
+    residues: list[int] = []
+    for n in range(c % d, modulus, d):
+        if len(residues) == residue_cap:
+            break
+        if math.gcd((n - c) // d, cofactor) == 1:
+            residues.append(n)
+    return AtlasEntry(d, multiplicity, tuple(residues), multiplicity > len(residues))
+
+
+def _common_root(f: MonicIntPoly, g: MonicIntPoly, p: int) -> int:
+    """The unique common root of f and g mod a prime p dividing r exactly once."""
+    c = common_root_mod_p(f, g, p)
+    if c is None:
+        raise InvariantBreach(
+            f"gcd of f and g mod {p} does not have degree 1 although {p}"
+            " divides the resultant exactly once"
         )
-        return AtlasEntry(d, multiplicity, tuple(residues), False)
-    # Too many to list: walk the progression n = base (mod d) from below and
-    # keep the residue_cap smallest ones.  The exact count is still reported.
-    base = crt([(roots[p], p) for p in fixed])[0] if fixed else 0
-    found: list[int] = []
-    n = base
-    while len(found) < residue_cap and n < modulus:
-        if all(n % p != roots[p] for p in free):
-            found.append(n)
-        n += d
-    return AtlasEntry(d, multiplicity, tuple(found), True)
+    return c
 
 
 def _cross_check_atlas(atlas: GcdAtlas, profile: BruteForceProfile) -> None:
@@ -320,11 +305,7 @@ def _local_table(
     if e == 1:
         # Exactly one common root mod p; a gcd in F_p[x] finds it without
         # scanning the p residues, which may be many.
-        if common_root_mod_p(f, g, p) is None:
-            raise InvariantBreach(
-                f"gcd of f and g mod {p} does not have degree 1 although {p}"
-                " divides the resultant exactly once"
-            )
+        _common_root(f, g, p)
         return {1: p - 1, p: 1}, p
     # levels[k] holds the residues n mod p^k with p^k | f(n) and p^k | g(n).
     # Only the p lifts of a residue in levels[k - 1] can lie in levels[k].

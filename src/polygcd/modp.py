@@ -1,5 +1,5 @@
-"""Arithmetic in F_p[x]: gcds with Bezout certificates, matrix rank mod p,
-and extraction of the common root of two polynomials reduced mod p.
+"""Arithmetic in F_p[x]: gcds and extraction of the common root of two
+polynomials reduced mod p.
 
 Python integers are arbitrary precision, so the same code paths serve
 word-sized primes and primes with dozens of digits.
@@ -9,15 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .linalg import IntMatrix
 from .ntheory import is_prime
 from .poly import IntPoly, MonicIntPoly
 
 __all__ = [
     "PrimeFieldPoly",
     "poly_gcd_mod_p",
-    "poly_ext_gcd_mod_p",
-    "rank_mod_p",
     "common_root_mod_p",
 ]
 
@@ -72,28 +69,6 @@ def _check_same_modulus(f: PrimeFieldPoly, g: PrimeFieldPoly) -> int:
     return f.p
 
 
-def _mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _strip(tuple(v % p for v in out))
-
-
-def _sub(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    la, lb = len(a), len(b)
-    n = max(la, lb)
-    out = []
-    for i in range(n):
-        x = a[i - (n - la)] if i >= n - la else 0
-        y = b[i - (n - lb)] if i >= n - lb else 0
-        out.append((x - y) % p)
-    return _strip(tuple(out))
-
-
 def _strip(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     i = 0
     while i < len(coeffs) and coeffs[i] == 0:
@@ -129,56 +104,6 @@ def poly_gcd_mod_p(f: PrimeFieldPoly, g: PrimeFieldPoly) -> PrimeFieldPoly:
         _, r = _divmod(a, b, p)
         a, b = b, r
     return PrimeFieldPoly(p, a).monic()
-
-
-def poly_ext_gcd_mod_p(
-    f: PrimeFieldPoly, g: PrimeFieldPoly
-) -> tuple[PrimeFieldPoly, PrimeFieldPoly, PrimeFieldPoly]:
-    """(gcd, u, v) with u*f + v*g = gcd in F_p[x] and gcd monic."""
-    p = _check_same_modulus(f, g)
-    if f.is_zero() and g.is_zero():
-        raise InputError("gcd of two zero polynomials is undefined")
-    r0, r1 = f.coeffs, g.coeffs
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
-        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
-    inv = pow(r0[0], -1, p)
-    scale = lambda cs: tuple(c * inv % p for c in cs)
-    return (
-        PrimeFieldPoly(p, scale(r0)),
-        PrimeFieldPoly(p, scale(s0)),
-        PrimeFieldPoly(p, scale(t0)),
-    )
-
-
-def rank_mod_p(matrix: IntMatrix, p: int) -> int:
-    """Rank of the matrix reduced mod p, by Gaussian elimination over F_p."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    a = [[v % p for v in row] for row in matrix.to_rows()]
-    rows, cols = matrix.rows, matrix.cols
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        base = a[rank]
-        for i in range(rank + 1, rows):
-            factor = a[i][col] * inv % p
-            if factor:
-                row = a[i]
-                for j in range(col, cols):
-                    row[j] = (row[j] - factor * base[j]) % p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def common_root_mod_p(f: MonicIntPoly, g: MonicIntPoly, p: int) -> int | None:

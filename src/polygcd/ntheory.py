@@ -28,7 +28,6 @@ __all__ = [
     "is_squarefree",
     "divisors",
     "crt",
-    "int_gcd",
     "ext_gcd",
 ]
 
@@ -52,11 +51,6 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(1000)
-
-
-def int_gcd(a: int, b: int) -> int:
-    """Nonnegative gcd, with the convention gcd(0, 0) = 0."""
-    return math.gcd(a, b)
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:

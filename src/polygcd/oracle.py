@@ -17,8 +17,6 @@ __all__ = [
     "BRUTE_FORCE_CAP",
     "BruteForceProfile",
     "brute_force_profile",
-    "check_divides",
-    "check_periodicity",
 ]
 
 BRUTE_FORCE_CAP = 10**6
@@ -80,46 +78,3 @@ def brute_force_profile(
         histogram=histogram,
         gcd_range=tuple(sorted(histogram)),
     )
-
-
-def check_divides(f: MonicIntPoly, g: MonicIntPoly, sample) -> bool:
-    """True iff gcd(f(n), g(n)) divides the resultant for every n in sample.
-
-    Works for a zero resultant too, since every integer divides 0.
-    """
-    r = resultant(f, g)
-    for n in sample:
-        d = math.gcd(f.evaluate(n), g.evaluate(n))
-        if d == 0:
-            if r != 0:
-                return False
-        elif r % d != 0:
-            return False
-    return True
-
-
-def check_periodicity(
-    f: MonicIntPoly, g: MonicIntPoly, *, cap: int = BRUTE_FORCE_CAP
-) -> bool:
-    """True iff the gcd values repeat with period |r|.
-
-    Checks every n in [0, |r|) against n + |r|, plus negative samples
-    n in {-1, ..., -min(16, |r|)} to exercise sign handling.
-    """
-    r = resultant(f, g)
-    if r == 0:
-        raise InputError("resultant is zero: periodicity check needs |r| > 0")
-    modulus = abs(r)
-    if modulus > cap:
-        raise CapExceeded(f"period {modulus} exceeds the brute-force cap {cap}")
-
-    def value(n: int) -> int:
-        return math.gcd(f.evaluate(n), g.evaluate(n))
-
-    for n in range(modulus):
-        if value(n) != value(n + modulus):
-            return False
-    for n in range(-1, -min(16, modulus) - 1, -1):
-        if value(n) != value(n + modulus):
-            return False
-    return True

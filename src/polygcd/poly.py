@@ -17,15 +17,19 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, NamedTuple
 
-from .errors import InputError, ParseError
+from .errors import CapExceeded, InputError, ParseError
 
 __all__ = [
     "IntPoly",
     "MonicIntPoly",
     "parse_poly",
-    "reduce_mod",
     "gcd_over_Z",
 ]
+
+# Largest degree the parser expands to.  The resultant of two degree-100
+# inputs already takes seconds, and an unchecked power such as x^200000 or
+# (x+1)^3000 would expand for minutes before anything else could refuse it.
+MAX_DEGREE = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,18 +190,6 @@ def _tail_zip(a, b, op) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def reduce_mod(p: IntPoly, m: int) -> tuple[int, ...]:
-    """Coefficientwise canonical residues in [0, m); the length is preserved.
-
-    The leading residue may be 0 for a general IntPoly (never for a
-    MonicIntPoly with m >= 2), in which case the reduced polynomial has
-    lower degree than ``p``.
-    """
-    if m < 2:
-        raise InputError(f"modulus must be >= 2, got {m}")
-    return tuple(c % m for c in p.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 #
@@ -271,8 +263,10 @@ class _Parser:
     def term(self) -> IntPoly:
         poly = self.factor()
         while self.peek().kind == "*":
-            self.advance()
-            poly = poly * self.factor()
+            pos = self.advance().pos
+            rhs = self.factor()
+            _check_degree(poly.degree + rhs.degree, pos)
+            poly = poly * rhs
         return poly
 
     def factor(self) -> IntPoly:
@@ -285,7 +279,9 @@ class _Parser:
                     "exponent must be a nonnegative integer literal", tok.pos
                 )
             self.advance()
-            base = base ** int(tok.text)
+            exponent = int(tok.text)
+            _check_degree(base.degree * exponent, tok.pos)
+            base = base**exponent
         return base
 
     def base(self) -> IntPoly:
@@ -307,12 +303,21 @@ class _Parser:
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
 
 
+def _check_degree(degree: int, pos: int) -> None:
+    # Called before a product or power is expanded, never after.
+    if degree > MAX_DEGREE:
+        raise CapExceeded(
+            f"degree {degree} at position {pos} exceeds the parser cap {MAX_DEGREE}"
+        )
+
+
 def parse_poly(text: str) -> IntPoly:
     """Parse an expression in ``x`` over Z and expand it exactly.
 
     Accepted syntax: integer literals, ``x``, ``+ - * ^``, parentheses,
     unary minus; ``^`` takes a nonnegative integer literal.  Raises
-    ParseError with the offending position on bad input.
+    ParseError with the offending position on bad input, and CapExceeded
+    before expanding any product or power above degree ``MAX_DEGREE``.
     """
     parser = _Parser(text)
     if parser.peek().kind == "eof":

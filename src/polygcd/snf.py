@@ -18,7 +18,7 @@ from .errors import InvariantBreach
 from .linalg import IntMatrix, det_bareiss
 from .ntheory import ext_gcd
 
-__all__ = ["SnfResult", "smith_normal_form", "invariant_factors"]
+__all__ = ["SnfResult", "smith_normal_form"]
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,6 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
     )
     _verify(matrix, result)
     return result
-
-
-def invariant_factors(matrix: IntMatrix) -> tuple[int, ...]:
-    """The d-sequence of the Smith normal form."""
-    return smith_normal_form(matrix).d
 
 
 def _smallest_nonzero(a, t, rows, cols):

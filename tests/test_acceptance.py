@@ -20,8 +20,6 @@ from polygcd import (
     analyze,
     brute_force_profile,
     build_atlas,
-    check_divides,
-    check_periodicity,
     common_root_mod_p,
     coprime_witness,
     det_bareiss,
@@ -35,7 +33,15 @@ from polygcd import (
     sylvester_matrix,
 )
 
-from support import acceptance_pair_pool, minor_gcd_products, random_matrix, random_monic
+from support import (
+    acceptance_pair_pool,
+    check_divides,
+    check_periodicity,
+    minor_gcd_products,
+    random_matrix,
+    random_monic,
+    rank_mod_p,
+)
 
 P52 = 8936582237915716659950962253358945635793453256935559
 N52 = 8424432925592889329288197322308900672459420460792433
@@ -201,15 +207,9 @@ def test_criterion_8_corank_identity_exhaustive():
                 for gc in monics:
                     g = MonicIntPoly(gc)
                     m = sylvester_matrix(f, g)
-                    corank = f.degree + g.degree - _rank(m, p)
+                    corank = f.degree + g.degree - rank_mod_p(m, p)
                     d = poly_gcd_mod_p(fp, PrimeFieldPoly.from_int_poly(g, p))
                     assert corank == d.degree
-
-
-def _rank(m, p):
-    from polygcd import rank_mod_p
-
-    return rank_mod_p(m, p)
 
 
 def test_criterion_9_coprime_witness_suite(pair_pool):

@@ -163,6 +163,41 @@ def test_atlas_truncation_lists_smallest_residues_first():
     assert full.residues[:5] == entry.residues
 
 
+def _multi_prime_pool_pairs():
+    # Square-free acceptance-pool pairs with 3+ primes, within the pool's
+    # |r| <= 10^4 filter so the oracle scan stays cheap.
+    for f, g, r in acceptance_pair_pool():
+        if r == 0 or abs(r) > 10**4:
+            continue
+        fact = factor(r)
+        if is_squarefree(fact) and len(fact.factors) >= 3:
+            yield f, g, fact
+
+
+def test_truncated_listings_match_the_oracle_on_multi_prime_pool_pairs():
+    checked = 0
+    for f, g, fact in _multi_prime_pool_pairs():
+        by_value = brute_force_profile(f, g).residues_by_value()
+        for cap in (1, 3, 7):
+            for entry in build_atlas(f, g, fact, residue_cap=cap).entries:
+                assert entry.residues == by_value[entry.divisor][:cap]
+                assert entry.truncated == (entry.multiplicity > cap)
+        checked += 1
+    assert checked >= 60
+
+
+def test_truncation_boundary_is_the_multiplicity():
+    # r = 2 * 3 * 5 * 7 * 11: the divisor 1 is realized 1 * 2 * 4 * 6 * 10 times.
+    f, g = mp("x"), mp("x^2+2310")
+    fact = factor(2310)
+    multiplicity = 480
+    assert build_atlas(f, g, fact).entry_for(1).multiplicity == multiplicity
+    exact = build_atlas(f, g, fact, residue_cap=multiplicity).entry_for(1)
+    assert not exact.truncated and len(exact.residues) == multiplicity
+    short = build_atlas(f, g, fact, residue_cap=multiplicity - 1).entry_for(1)
+    assert short.truncated and short.residues == exact.residues[:-1]
+
+
 def test_build_atlas_rejects_non_squarefree():
     with pytest.raises(InputError):
         build_atlas(mp("x^2-1"), mp("x^2+1"), factor(4))

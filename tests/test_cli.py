@@ -1,9 +1,13 @@
 import ast
 import json
+import time
 from pathlib import Path
+
+import pytest
 
 import polygcd.cli
 from polygcd.cli import main
+from polygcd.poly import MAX_DEGREE
 
 P52 = "8936582237915716659950962253358945635793453256935559"
 
@@ -195,6 +199,26 @@ def test_exit_2_on_explicit_tiny_cap(capsys):
         capsys, "period", "--f", "x^2+3", "--g", "(x+1)^2+3", "--cap-brute", "5"
     )
     assert status == 2
+
+
+@pytest.mark.parametrize(
+    "expr, degree",
+    [
+        ("x^200000", 200000),
+        ("(x+1)^3000", 3000),
+        ("(x^2)^60", 120),
+        ("x^60*x^60", 120),
+        ("x*x^50*x^50", 101),
+        ("(-(x^20)^6)", 120),
+    ],
+)
+def test_exit_2_on_parser_degree_cap_before_expanding(capsys, expr, degree):
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "resultant", "--f", expr, "--g", "x+1")
+    assert time.perf_counter() - start < 1.0
+    assert status == 2 and out == ""
+    assert err.startswith(f"error: degree {degree} ") and err.count("\n") == 1
+    assert err.endswith(f"exceeds the parser cap {MAX_DEGREE}\n")
 
 
 def test_seed_env_var_is_accepted(capsys, monkeypatch):

@@ -8,15 +8,19 @@ from polygcd import (
     IntPoly,
     MonicIntPoly,
     common_root_mod_p,
-    poly_ext_gcd_mod_p,
     poly_gcd_mod_p,
-    rank_mod_p,
     sylvester_matrix,
 )
 from polygcd.errors import InputError
-from polygcd.modp import PrimeFieldPoly, _divmod, _mul, _sub
+from polygcd.modp import PrimeFieldPoly, _divmod
 
-from support import random_monic
+from support import (
+    poly_ext_gcd_mod_p,
+    poly_mul_mod_p,
+    poly_sub_mod_p,
+    random_monic,
+    rank_mod_p,
+)
 
 P52 = 8936582237915716659950962253358945635793453256935559
 N52 = 8424432925592889329288197322308900672459420460792433
@@ -55,7 +59,7 @@ def test_divmod_reconstructs():
         )
         q, r = _divmod(num, den, p)
         # num == q*den + r in F_p[x]
-        recon = _sub(_mul(q, den, p), tuple(-c % p for c in r), p)
+        recon = poly_sub_mod_p(poly_mul_mod_p(q, den, p), tuple(-c % p for c in r), p)
         assert PrimeFieldPoly(p, num) == PrimeFieldPoly(p, recon)
         assert len(r) < len(den)
 
@@ -127,9 +131,9 @@ def test_ext_gcd_bezout_certificate():
             if f.is_zero() and g.is_zero():
                 continue
             d, u, v = poly_ext_gcd_mod_p(f, g)
-            lhs = _sub(
-                _mul(u.coeffs, f.coeffs, p),
-                tuple(-c % p for c in _mul(v.coeffs, g.coeffs, p)),
+            lhs = poly_sub_mod_p(
+                poly_mul_mod_p(u.coeffs, f.coeffs, p),
+                tuple(-c % p for c in poly_mul_mod_p(v.coeffs, g.coeffs, p)),
                 p,
             )
             assert lhs == d.coeffs

@@ -11,12 +11,13 @@ from polygcd import (
     divisors,
     ext_gcd,
     factor,
-    int_gcd,
     is_prime,
     is_squarefree,
 )
 from polygcd.errors import InputError
 from polygcd.ntheory import MR_DETERMINISTIC_BOUND, _baillie_psw
+
+from support import int_gcd
 
 P52 = 8936582237915716659950962253358945635793453256935559
 

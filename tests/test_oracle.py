@@ -7,13 +7,11 @@ from polygcd import (
     CapExceeded,
     MonicIntPoly,
     brute_force_profile,
-    check_divides,
-    check_periodicity,
     resultant,
 )
 from polygcd.errors import InputError
 
-from support import random_monic
+from support import check_divides, check_periodicity, random_monic
 
 
 def mp(text):

@@ -3,10 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from polygcd import IntPoly, MonicIntPoly, gcd_over_Z, parse_poly, reduce_mod
+from polygcd import IntPoly, MonicIntPoly, gcd_over_Z, parse_poly
 from polygcd.errors import InputError, ParseError
+from polygcd.poly import MAX_DEGREE
 
-from support import naive_mul, poly_divides_over_Z
+from support import naive_mul, poly_divides_over_Z, reduce_mod
 
 
 # ---------------------------------------------------------------------------
@@ -16,6 +17,13 @@ from support import naive_mul, poly_divides_over_Z
 
 def test_parse_simple_quadratic():
     assert parse_poly("x^2+3").coeffs == (1, 0, 3)
+
+
+def test_parse_up_to_the_degree_cap():
+    assert MAX_DEGREE == 100
+    assert parse_poly("x^100").degree == 100
+    assert parse_poly("(x^10)^10").degree == 100
+    assert parse_poly("x^50*x^50 - x^100").coeffs == ()
 
 
 def test_parse_shifted_quadratic_expands():

@@ -5,13 +5,11 @@ from polygcd import (
     IntMatrix,
     MonicIntPoly,
     det_bareiss,
-    invariant_factors,
-    rank_mod_p,
     smith_normal_form,
     sylvester_matrix,
 )
 
-from support import minor_gcd_products, random_matrix
+from support import invariant_factors, minor_gcd_products, random_matrix, rank_mod_p
 
 
 def assert_snf_contract(matrix, result):
