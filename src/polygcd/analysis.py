@@ -17,12 +17,13 @@ over one period.  The profile is built from local tables: the p-part of
 gcd(f(n), g(n)) depends only on n mod p^e for p^e exactly dividing r, so
 the value histogram is the multiplicative convolution of one small table
 per prime power and the minimal period is the product of the local ones.
-Under ``verify`` the profile is checked against the brute-force oracle.
+``minimal_period`` returns that product for any nonzero r (|r| itself
+when r is square-free).  Under ``verify`` the profile is checked against
+the brute-force oracle.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -353,7 +354,7 @@ def _cross_check_profile(profile: GcdProfile, oracle: BruteForceProfile) -> None
         oracle.gcd_range,
     ):
         raise InvariantBreach("the gcd profile disagrees with the brute-force oracle")
-    if profile.period != _minimal_period_of(oracle.values):
+    if profile.period != oracle.minimal_period():
         raise InvariantBreach(
             f"minimal period {profile.period} disagrees with the brute-force oracle"
         )
@@ -364,8 +365,10 @@ def minimal_period(
 ) -> int:
     """Smallest positive t with gcd(f(n), g(n)) = gcd(f(n+t), g(n+t)) for all n.
 
-    Only divisors of |r| need to be tried: |r| is always a period and the
-    set of periods is closed under gcd.
+    It is the product of the local minimal periods, one per prime power p^e
+    exactly dividing r, read from the same local tables as the
+    non-square-free profile, so no scan of |r| values is made.  ``cap``
+    bounds |r| as it bounds the brute-force oracle.
     """
     r = resultant(f, g)
     if r == 0:
@@ -373,18 +376,7 @@ def minimal_period(
     modulus = abs(r)
     if modulus > cap:
         raise CapExceeded(f"period {modulus} exceeds the brute-force cap {cap}")
-    values = [math.gcd(f.evaluate(n), g.evaluate(n)) for n in range(modulus)]
-    return _minimal_period_of(values)
-
-
-def _minimal_period_of(values: Sequence[int]) -> int:
-    modulus = len(values)
-    for t in range(1, modulus + 1):
-        if modulus % t:
-            continue
-        if all(values[n] == values[(n + t) % modulus] for n in range(modulus)):
-            return t
-    raise InvariantBreach("the full period itself must always verify")
+    return _gcd_profile(f, g, factor(r)).period
 
 
 def coprime_witness(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization) -> int:

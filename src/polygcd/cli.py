@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .analysis import (
     RESIDUE_LISTING_CAP,
@@ -31,7 +30,6 @@ from .errors import (
     FactorizationFailed,
     InputError,
     InvariantBreach,
-    ParseError,
 )
 from .linalg import IntMatrix, resultant
 from .ntheory import DIVISOR_CAP, MR_DETERMINISTIC_BOUND, Factorization, factor
@@ -39,31 +37,9 @@ from .oracle import BRUTE_FORCE_CAP, brute_force_profile
 from .poly import MonicIntPoly, parse_poly
 from .snf import smith_normal_form
 
-__all__ = ["CliConfig", "main", "run"]
+__all__ = ["main"]
 
 SEED_ENV_VAR = "POLYGCD_SEED"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Everything a subcommand needs, resolved from flags and environment."""
-
-    subcommand: str
-    f_text: str | None = None
-    g_text: str | None = None
-    json_output: bool = False
-    verify: bool = False
-    brute_cap: int = BRUTE_FORCE_CAP
-    residue_cap: int = RESIDUE_LISTING_CAP
-    divisor_cap: int = DIVISOR_CAP
-    seed: int | None = None
-    matrix_path: str | None = None
-    show_transforms: bool = False
-
-    def __post_init__(self):
-        for cap in (self.brute_cap, self.residue_cap, self.divisor_cap):
-            if cap < 1:
-                raise InputError(f"caps must be positive, got {cap}")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -89,12 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--f", required=True, metavar="EXPR", help="first monic polynomial, e.g. 'x^2+3'")
         p.add_argument("--g", required=True, metavar="EXPR", help="second monic polynomial")
 
-    def add_common(p, *, caps=True):
+    def add_common(p):
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        if caps:
-            p.add_argument("--cap-brute", type=int, default=BRUTE_FORCE_CAP, metavar="N")
-            p.add_argument("--cap-residues", type=int, default=RESIDUE_LISTING_CAP, metavar="N")
-            p.add_argument("--cap-divisors", type=int, default=DIVISOR_CAP, metavar="N")
+        p.add_argument("--cap-brute", type=int, default=BRUTE_FORCE_CAP, metavar="N")
+        p.add_argument("--cap-residues", type=int, default=RESIDUE_LISTING_CAP, metavar="N")
+        p.add_argument("--cap-divisors", type=int, default=DIVISOR_CAP, metavar="N")
 
     p = sub.add_parser("analyze", help="full divisor-to-residue report")
     add_pair(p)
@@ -122,27 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-brute", type=int, default=BRUTE_FORCE_CAP, metavar="N")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    seed_text = os.environ.get(SEED_ENV_VAR)
-    try:
-        seed = int(seed_text) if seed_text else None
-    except ValueError:
-        raise InputError(f"{SEED_ENV_VAR} must be an integer, got {seed_text!r}") from None
-    return CliConfig(
-        subcommand=args.subcommand,
-        f_text=getattr(args, "f", None),
-        g_text=getattr(args, "g", None),
-        json_output=getattr(args, "json", False),
-        verify=getattr(args, "verify", False),
-        brute_cap=getattr(args, "cap_brute", BRUTE_FORCE_CAP),
-        residue_cap=getattr(args, "cap_residues", RESIDUE_LISTING_CAP),
-        divisor_cap=getattr(args, "cap_divisors", DIVISOR_CAP),
-        seed=seed,
-        matrix_path=getattr(args, "matrix", None),
-        show_transforms=getattr(args, "transforms", False),
-    )
 
 
 def _monic(text: str) -> MonicIntPoly:
@@ -176,29 +130,29 @@ def _prime_note(p: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze(config: CliConfig) -> int:
-    f = _monic(config.f_text)
-    g = _monic(config.g_text)
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    f = _monic(args.f)
+    g = _monic(args.g)
     outcome = analyze(
         f,
         g,
-        brute_cap=config.brute_cap,
-        residue_cap=config.residue_cap,
-        divisor_cap=config.divisor_cap,
-        verify=config.verify,
-        seed=config.seed,
+        brute_cap=args.cap_brute,
+        residue_cap=args.cap_residues,
+        divisor_cap=args.cap_divisors,
+        verify=args.verify,
+        seed=args.seed,
     )
     if isinstance(outcome, GcdAtlas):
-        _report_atlas(outcome, config)
+        _report_atlas(outcome, args)
     elif isinstance(outcome, ZeroResultant):
-        _report_zero(f, g, outcome, config)
+        _report_zero(f, g, outcome, args)
     else:
-        _report_not_squarefree(f, g, outcome, config)
+        _report_not_squarefree(f, g, outcome, args)
     return 0
 
 
-def _report_atlas(atlas: GcdAtlas, config: CliConfig) -> None:
-    if config.json_output:
+def _report_atlas(atlas: GcdAtlas, args: argparse.Namespace) -> None:
+    if args.json:
         print(_dump_json(atlas.to_json_dict()))
         return
     modulus = abs(atlas.resultant)
@@ -228,8 +182,8 @@ def _residue_preview(entry, limit: int = 16) -> str:
     return shown
 
 
-def _report_zero(f, g, outcome: ZeroResultant, config: CliConfig) -> None:
-    if config.json_output:
+def _report_zero(f, g, outcome: ZeroResultant, args: argparse.Namespace) -> None:
+    if args.json:
         print(
             _dump_json(
                 {
@@ -251,8 +205,10 @@ def _report_zero(f, g, outcome: ZeroResultant, config: CliConfig) -> None:
     print(f"gcd(f(n), g(n)) for n = 0..{len(outcome.sample_values) - 1}: {sample}")
 
 
-def _report_not_squarefree(f, g, outcome: NotSquarefree, config: CliConfig) -> None:
-    if config.json_output:
+def _report_not_squarefree(
+    f, g, outcome: NotSquarefree, args: argparse.Namespace
+) -> None:
+    if args.json:
         doc = {
             "f": str(f),
             "g": str(g),
@@ -285,7 +241,7 @@ def _report_not_squarefree(f, g, outcome: NotSquarefree, config: CliConfig) -> N
         print(f"gcd value counts: {histogram}")
         print(f"minimal period: {outcome.profile.period}")
     else:
-        print(f"|resultant| exceeds the brute-force cap {config.brute_cap}; no empirical profile")
+        print(f"|resultant| exceeds the brute-force cap {args.cap_brute}; no empirical profile")
     if outcome.witness_applicable:
         print(f"coprime witness: n = {outcome.witness}")
     else:
@@ -296,21 +252,21 @@ def _report_not_squarefree(f, g, outcome: NotSquarefree, config: CliConfig) -> N
     return
 
 
-def _cmd_resultant(config: CliConfig) -> int:
-    f = _monic(config.f_text)
-    g = _monic(config.g_text)
-    print(resultant(f, g, verify=config.verify))
+def _cmd_resultant(args: argparse.Namespace) -> int:
+    f = _monic(args.f)
+    g = _monic(args.g)
+    print(resultant(f, g, verify=args.verify))
     return 0
 
 
-def _cmd_snf(config: CliConfig) -> int:
-    if config.matrix_path:
+def _cmd_snf(args: argparse.Namespace) -> int:
+    if args.matrix:
         try:
-            with open(config.matrix_path, encoding="utf-8") as handle:
+            with open(args.matrix, encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
             raise InputError(
-                f"cannot read matrix file {config.matrix_path!r}: {exc.strerror}"
+                f"cannot read matrix file {args.matrix!r}: {exc.strerror}"
             ) from None
     else:
         text = sys.stdin.read()
@@ -323,15 +279,15 @@ def _cmd_snf(config: CliConfig) -> int:
         raise InputError("empty matrix input")
     matrix = IntMatrix.from_rows(rows)
     result = smith_normal_form(matrix)
-    if config.json_output:
+    if args.json:
         doc = {"d": [str(x) for x in result.d]}
-        if config.show_transforms:
+        if args.transforms:
             doc["U"] = [[str(v) for v in row] for row in result.U.to_rows()]
             doc["V"] = [[str(v) for v in row] for row in result.V.to_rows()]
         print(_dump_json(doc))
         return 0
     print("d =", " ".join(str(x) for x in result.d))
-    if config.show_transforms:
+    if args.transforms:
         print("U =")
         print(result.U)
         print("V =")
@@ -339,11 +295,11 @@ def _cmd_snf(config: CliConfig) -> int:
     return 0
 
 
-def _cmd_brute_force(config: CliConfig) -> int:
-    f = _monic(config.f_text)
-    g = _monic(config.g_text)
-    profile = brute_force_profile(f, g, cap=config.brute_cap)
-    if config.json_output:
+def _cmd_brute_force(args: argparse.Namespace) -> int:
+    f = _monic(args.f)
+    g = _monic(args.g)
+    profile = brute_force_profile(f, g, cap=args.cap_brute)
+    if args.json:
         print(_dump_json(profile.to_json_dict()))
         return 0
     print(f"modulus = {profile.modulus}")
@@ -353,13 +309,13 @@ def _cmd_brute_force(config: CliConfig) -> int:
     return 0
 
 
-def _cmd_witness(config: CliConfig) -> int:
-    f = _monic(config.f_text)
-    g = _monic(config.g_text)
+def _cmd_witness(args: argparse.Namespace) -> int:
+    f = _monic(args.f)
+    g = _monic(args.g)
     r = resultant(f, g)
     if r == 0:
         raise InputError("resultant is zero: the witness criterion needs r != 0")
-    fact = factor(r, seed=config.seed)
+    fact = factor(r, seed=args.seed)
     try:
         n = coprime_witness(f, g, fact)
     except CriterionInapplicable as exc:
@@ -370,10 +326,10 @@ def _cmd_witness(config: CliConfig) -> int:
     return 0
 
 
-def _cmd_period(config: CliConfig) -> int:
-    f = _monic(config.f_text)
-    g = _monic(config.g_text)
-    print(minimal_period(f, g, cap=config.brute_cap))
+def _cmd_period(args: argparse.Namespace) -> int:
+    f = _monic(args.f)
+    g = _monic(args.g)
+    print(minimal_period(f, g, cap=args.cap_brute))
     return 0
 
 
@@ -387,13 +343,22 @@ _HANDLERS = {
 }
 
 
-def run(config: CliConfig) -> int:
-    """Dispatch an already-resolved configuration; returns the exit status."""
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[config.subcommand](config)
-    except (ParseError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        seed_text = os.environ.get(SEED_ENV_VAR)
+        try:
+            args.seed = int(seed_text) if seed_text else None
+        except ValueError:
+            raise InputError(
+                f"{SEED_ENV_VAR} must be an integer, got {seed_text!r}"
+            ) from None
+        # resultant, snf and witness take no caps; period takes only --cap-brute.
+        for name in ("cap_brute", "cap_residues", "cap_divisors"):
+            cap = getattr(args, name, 1)
+            if cap < 1:
+                raise InputError(f"caps must be positive, got {cap}")
+        return _HANDLERS[args.subcommand](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -406,16 +371,6 @@ def run(config: CliConfig) -> int:
             file=sys.stderr,
         )
         return 3
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        config = _config_from_args(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return run(config)
 
 
 if __name__ == "__main__":

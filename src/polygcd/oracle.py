@@ -7,6 +7,7 @@ check for the structured computations elsewhere in the package.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InputError
@@ -20,7 +21,6 @@ __all__ = [
 ]
 
 BRUTE_FORCE_CAP = 10**6
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,15 @@ class BruteForceProfile:
             out.setdefault(value, []).append(n)
         return {value: tuple(ns) for value, ns in out.items()}
 
+    def minimal_period(self) -> int:
+        """The smallest t | modulus with values[n] == values[(n + t) % modulus]."""
+        m, values = self.modulus, self.values
+        return next(
+            t
+            for t in range(1, m + 1)
+            if m % t == 0 and all(values[n] == values[(n + t) % m] for n in range(m))
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "modulus": str(self.modulus),
@@ -47,17 +56,12 @@ class BruteForceProfile:
         }
 
 
-def _scan_chunk(f: MonicIntPoly, g: MonicIntPoly, start: int, stop: int) -> list[int]:
-    return [math.gcd(f.evaluate(n), g.evaluate(n)) for n in range(start, stop)]
-
-
 def brute_force_profile(
     f: MonicIntPoly, g: MonicIntPoly, *, cap: int = BRUTE_FORCE_CAP
 ) -> BruteForceProfile:
     """Tabulate gcd(f(n), g(n)) for n in [0, |r|).
 
-    The scan is partitioned into independent chunks whose merge is
-    order-independent; requires a nonzero resultant with |r| <= cap.
+    Requires a nonzero resultant with |r| <= cap.
     """
     r = resultant(f, g)
     if r == 0:
@@ -65,16 +69,11 @@ def brute_force_profile(
     modulus = abs(r)
     if modulus > cap:
         raise CapExceeded(f"period {modulus} exceeds the brute-force cap {cap}")
-    values: list[int] = []
-    histogram: dict[int, int] = {}
-    for start in range(0, modulus, _CHUNK):
-        chunk = _scan_chunk(f, g, start, min(start + _CHUNK, modulus))
-        values.extend(chunk)
-        for v in chunk:
-            histogram[v] = histogram.get(v, 0) + 1
+    values = tuple(math.gcd(f.evaluate(n), g.evaluate(n)) for n in range(modulus))
+    histogram = dict(Counter(values))
     return BruteForceProfile(
         modulus=modulus,
-        values=tuple(values),
+        values=values,
         histogram=histogram,
         gcd_range=tuple(sorted(histogram)),
     )

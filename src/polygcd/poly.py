@@ -165,10 +165,6 @@ class MonicIntPoly(IntPoly):
             )
 
     @classmethod
-    def from_poly(cls, p: IntPoly) -> MonicIntPoly:
-        return cls(p.coeffs)
-
-    @classmethod
     def parse(cls, text: str) -> MonicIntPoly:
         return cls(parse_poly(text).coeffs)
 

@@ -130,16 +130,6 @@ def acceptance_pair_pool() -> tuple[tuple[MonicIntPoly, MonicIntPoly, int], ...]
     return tuple(raw)
 
 
-def naive_minimal_period(values) -> int:
-    """Smallest t dividing len(values) with values[n] == values[n + t] cyclically."""
-    m = len(values)
-    return next(
-        t
-        for t in range(1, m + 1)
-        if m % t == 0 and all(values[n] == values[(n + t) % m] for n in range(m))
-    )
-
-
 def random_matrix(rng: random.Random, max_dim: int = 5, bound: int = 9) -> IntMatrix:
     rows = rng.randint(1, max_dim)
     cols = rng.randint(1, max_dim)

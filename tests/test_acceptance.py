@@ -139,6 +139,7 @@ def test_criterion_5_atlas_equals_oracle_on_500_squarefree_pairs(pair_pool):
             assert [e.divisor for e in atlas.entries] == divs
             assert all(e.multiplicity >= 1 for e in atlas.entries)
             assert atlas.entry_for(abs(r)).multiplicity == 1
+            assert profile.minimal_period() == abs(r)
             assert minimal_period(f, g) == abs(r)
             accepted += 1
         elapsed = time.perf_counter() - start

@@ -24,7 +24,7 @@ from polygcd import (
 )
 from polygcd.errors import InputError
 
-from support import acceptance_pair_pool, naive_minimal_period, random_monic
+from support import acceptance_pair_pool, random_monic
 
 
 def mp(text):
@@ -278,6 +278,7 @@ def test_minimal_period_divides_r_and_is_a_true_period():
             continue
         t = minimal_period(f, g)
         assert abs(r) % t == 0
+        assert t == brute_force_profile(f, g).minimal_period()
         for n in range(-5, abs(r)):
             assert math.gcd(f.evaluate(n), g.evaluate(n)) == math.gcd(
                 f.evaluate(n + t), g.evaluate(n + t)
@@ -295,7 +296,7 @@ def assert_profile_matches_brute_force(f, g, profile):
     assert profile.modulus == oracle.modulus
     assert profile.histogram == oracle.histogram
     assert profile.gcd_range == oracle.gcd_range
-    assert profile.period == naive_minimal_period(oracle.values)
+    assert profile.period == minimal_period(f, g) == oracle.minimal_period()
 
 
 @pytest.mark.parametrize(

@@ -237,6 +237,27 @@ def test_non_integer_seed_env_var_exits_1(capsys, monkeypatch):
     assert err == "error: POLYGCD_SEED must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["analyze", "--f", "x", "--g", "x+1", "--cap-brute", "0"], "0"),
+        (["period", "--f", "x", "--g", "x+1", "--cap-brute", "-3"], "-3"),
+        (["brute-force", "--f", "x", "--g", "x+1", "--cap-divisors", "-1"], "-1"),
+    ],
+)
+def test_non_positive_cap_exits_1(capsys, argv, cap):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 1 and out == ""
+    assert err == f"error: caps must be positive, got {cap}\n"
+
+
+def test_seed_env_var_is_checked_before_the_caps(capsys, monkeypatch):
+    monkeypatch.setenv("POLYGCD_SEED", "abc")
+    status, _, err = run_cli(capsys, "analyze", "--f", "x", "--g", "x+1", "--cap-brute", "0")
+    assert status == 1
+    assert err == "error: POLYGCD_SEED must be an integer, got 'abc'\n"
+
+
 def test_analyze_json_zero_resultant(capsys):
     status, out, _ = run_cli(
         capsys, "analyze", "--f", "x^2+x+1", "--g", "x^2+x+1", "--json"
@@ -287,18 +308,19 @@ def test_cap_residues_flag_truncates(capsys):
 
 
 def test_exit_3_on_invariant_breach(capsys, monkeypatch):
-    import polygcd.cli as cli_module
-    from polygcd.cli import CliConfig, run
     from polygcd.errors import InvariantBreach
 
-    def broken(config):
+    def broken(args):
         raise InvariantBreach("forced for the exit-code test")
 
-    monkeypatch.setitem(cli_module._HANDLERS, "period", broken)
-    status = run(CliConfig(subcommand="period", f_text="x", g_text="x+1"))
-    captured = capsys.readouterr()
-    assert status == 3
-    assert "INTERNAL INVARIANT BREACH" in captured.err
+    monkeypatch.setitem(polygcd.cli._HANDLERS, "period", broken)
+    status, out, err = run_cli(capsys, "period", "--f", "x", "--g", "x+1")
+    assert status == 3 and out == ""
+    assert err == "INTERNAL INVARIANT BREACH (this is a bug): forced for the exit-code test\n"
+
+
+def test_cli_exports_only_main():
+    assert polygcd.cli.__all__ == ["main"]
 
 
 def test_negative_input_polynomial_values(capsys):

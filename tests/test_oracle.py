@@ -45,6 +45,20 @@ def test_profile_linear_pair():
     assert profile.histogram == {1: 1, 2: 1}
 
 
+@pytest.mark.parametrize(
+    "f_text, g_text, period",
+    [
+        ("x^2+3", "(x+1)^2+3", 13),
+        ("x^2-1", "x^2+1", 2),
+        ("x+1", "x-1", 2),
+        # r = 9, but x^2 + 1 has no root mod 3: the values are constant.
+        ("x^2+1", "x^2+4", 1),
+    ],
+)
+def test_profile_minimal_period(f_text, g_text, period):
+    assert brute_force_profile(mp(f_text), mp(g_text)).minimal_period() == period
+
+
 def test_profile_rejects_zero_resultant_and_enormous_periods():
     p = mp("x^2+x+1")
     with pytest.raises(InputError):
