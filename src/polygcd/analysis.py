@@ -71,11 +71,12 @@ class AtlasEntry:
 class GcdAtlas:
     """Complete divisor -> residues map for a square-free resultant."""
 
+    squarefree = True
+
     f: MonicIntPoly
     g: MonicIntPoly
     resultant: int
     factorization: Factorization
-    squarefree: bool
     roots: dict[int, int]
     entries: tuple[AtlasEntry, ...]
 
@@ -126,19 +127,28 @@ class GcdProfile:
 
     modulus: int
     histogram: dict[int, int]
-    gcd_range: tuple[int, ...]
     period: int
+
+    @property
+    def gcd_range(self) -> tuple[int, ...]:
+        return tuple(self.histogram)
 
 
 @dataclass(frozen=True)
 class NotSquarefree:
-    """r != 0 but not square-free: no atlas, but an exact profile within cap."""
+    """r != 0 but not square-free: no atlas, but an exact profile within cap.
+
+    ``witness`` is None when the p^p criterion does not apply.
+    """
 
     resultant: int
     factorization: Factorization
     profile: GcdProfile | None
     witness: int | None
-    witness_applicable: bool
+
+    @property
+    def witness_applicable(self) -> bool:
+        return self.witness is not None
 
 
 AnalysisOutcome = Union[GcdAtlas, ZeroResultant, NotSquarefree]
@@ -152,7 +162,6 @@ def analyze(
     residue_cap: int = RESIDUE_LISTING_CAP,
     divisor_cap: int = DIVISOR_CAP,
     verify: bool = False,
-    seed: int | None = None,
 ) -> AnalysisOutcome:
     """Classify the pair (f, g) and build the atlas when it exists.
 
@@ -168,22 +177,17 @@ def analyze(
             math.gcd(f.evaluate(n), g.evaluate(n)) for n in range(8)
         )
         return ZeroResultant(common_factor=common, sample_values=samples)
-    fact = factor(r, seed=seed)
+    fact = factor(r)
     if not is_squarefree(fact):
         profile = _gcd_profile(f, g, fact) if abs(r) <= brute_cap else None
         if verify and profile is not None:
             _cross_check_profile(profile, brute_force_profile(f, g, cap=brute_cap))
         try:
             witness = coprime_witness(f, g, fact)
-            applicable = True
         except CriterionInapplicable:
-            witness, applicable = None, False
+            witness = None
         return NotSquarefree(
-            resultant=r,
-            factorization=fact,
-            profile=profile,
-            witness=witness,
-            witness_applicable=applicable,
+            resultant=r, factorization=fact, profile=profile, witness=witness
         )
     atlas = build_atlas(f, g, fact, residue_cap=residue_cap, divisor_cap=divisor_cap)
     if verify and abs(r) <= brute_cap:
@@ -223,7 +227,6 @@ def build_atlas(
         g=g,
         resultant=fact.n,
         factorization=fact,
-        squarefree=True,
         roots=roots,
         entries=tuple(entries),
     )
@@ -287,12 +290,7 @@ def _gcd_profile(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization) -> GcdPr
         }
         period *= local_period
     histogram = dict(sorted(histogram.items()))
-    return GcdProfile(
-        modulus=abs(fact.n),
-        histogram=histogram,
-        gcd_range=tuple(histogram),
-        period=period,
-    )
+    return GcdProfile(modulus=abs(fact.n), histogram=histogram, period=period)
 
 
 def _local_table(

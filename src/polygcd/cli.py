@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .analysis import (
@@ -38,8 +37,6 @@ from .poly import MonicIntPoly, parse_poly
 from .snf import smith_normal_form
 
 __all__ = ["main"]
-
-SEED_ENV_VAR = "POLYGCD_SEED"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -68,12 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
         p.add_argument("--cap-brute", type=int, default=BRUTE_FORCE_CAP, metavar="N")
-        p.add_argument("--cap-residues", type=int, default=RESIDUE_LISTING_CAP, metavar="N")
-        p.add_argument("--cap-divisors", type=int, default=DIVISOR_CAP, metavar="N")
 
     p = sub.add_parser("analyze", help="full divisor-to-residue report")
     add_pair(p)
     add_common(p)
+    p.add_argument("--cap-residues", type=int, default=RESIDUE_LISTING_CAP, metavar="N")
+    p.add_argument("--cap-divisors", type=int, default=DIVISOR_CAP, metavar="N")
     p.add_argument("--verify", action="store_true", help="cross-check against PRS and brute force")
 
     p = sub.add_parser("resultant", help="print the signed resultant")
@@ -140,7 +137,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         residue_cap=args.cap_residues,
         divisor_cap=args.cap_divisors,
         verify=args.verify,
-        seed=args.seed,
     )
     if isinstance(outcome, GcdAtlas):
         _report_atlas(outcome, args)
@@ -315,7 +311,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     r = resultant(f, g)
     if r == 0:
         raise InputError("resultant is zero: the witness criterion needs r != 0")
-    fact = factor(r, seed=args.seed)
+    fact = factor(r)
     try:
         n = coprime_witness(f, g, fact)
     except CriterionInapplicable as exc:
@@ -346,14 +342,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        seed_text = os.environ.get(SEED_ENV_VAR)
-        try:
-            args.seed = int(seed_text) if seed_text else None
-        except ValueError:
-            raise InputError(
-                f"{SEED_ENV_VAR} must be an integer, got {seed_text!r}"
-            ) from None
-        # resultant, snf and witness take no caps; period takes only --cap-brute.
+        # resultant, snf and witness take no caps; brute-force and period take
+        # only --cap-brute.
         for name in ("cap_brute", "cap_residues", "cap_divisors"):
             cap = getattr(args, name, 1)
             if cap < 1:

@@ -10,13 +10,11 @@ cross-check against.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantBreach
-from .poly import IntPoly
+from .poly import IntPoly, _content, _pseudo_rem
 
 __all__ = [
     "IntMatrix",
@@ -191,30 +189,6 @@ def _subresultant_resultant(a: list[int], b: list[int]) -> int:
             h = _exact_div(g**delta, h ** (delta - 1))
     deg_a = len(a) - 1
     return s * t * _exact_div(b[0] ** deg_a, h ** (deg_a - 1))
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    # prem(a, b): the remainder of lc(b)**(deg a - deg b + 1) * a modulo b.
-    deg_b = len(b) - 1
-    lead = b[0]
-    rem = list(a)
-    steps = len(a) - len(b) + 1
-    while rem and len(rem) - 1 >= deg_b:
-        top = rem[0]
-        rem = [lead * c for c in rem[1:]]
-        for k in range(1, len(b)):
-            rem[k - 1] -= top * b[k]
-        while rem and rem[0] == 0:
-            rem.pop(0)
-        steps -= 1
-    if steps > 0 and rem:
-        scale = lead**steps
-        rem = [c * scale for c in rem]
-    return rem
-
-
-def _content(coeffs: list[int]) -> int:
-    return reduce(math.gcd, coeffs, 0)
 
 
 def _exact_div(numerator: int, denominator: int) -> int:

@@ -6,8 +6,9 @@ Above the bound the test is Baillie-PSW, a probable-prime test with no
 known counterexample; callers that report primes can flag those as
 "probable" by comparing against the bound.
 
-Pollard rho uses a seeded generator, so factorizations are reproducible
-across runs and thread schedules.
+Pollard rho draws its starting points from one generator with a fixed
+seed, ``POLLARD_SEED``; a factorization is unique, so the seed only picks
+which random walk finds the primes, and every run takes the same walk.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 TRIAL_DIVISION_BOUND = 10**6
 DIVISOR_CAP = 2**20
 POLLARD_MAX_ATTEMPTS = 20
-DEFAULT_POLLARD_SEED = 0
+POLLARD_SEED = 0
 
 
 def _sieve(limit: int) -> tuple[int, ...]:
@@ -211,7 +212,7 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-def factor(n: int, *, seed: int | None = None) -> Factorization:
+def factor(n: int) -> Factorization:
     """Complete factorization of a nonzero integer.
 
     Trial division up to TRIAL_DIVISION_BOUND, then Brent's variant of
@@ -224,7 +225,7 @@ def factor(n: int, *, seed: int | None = None) -> Factorization:
     counts: dict[int, int] = {}
     m = _strip_small_factors(m, counts)
     if m > 1:
-        rng = random.Random(DEFAULT_POLLARD_SEED if seed is None else seed)
+        rng = random.Random(POLLARD_SEED)
         _split_recursively(m, counts, rng)
     return Factorization(n, sign, tuple(sorted(counts.items())))
 

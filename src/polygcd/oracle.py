@@ -30,7 +30,10 @@ class BruteForceProfile:
     modulus: int
     values: tuple[int, ...]
     histogram: dict[int, int]
-    gcd_range: tuple[int, ...]
+
+    @property
+    def gcd_range(self) -> tuple[int, ...]:
+        return tuple(sorted(self.histogram))
 
     def residues_by_value(self) -> dict[int, tuple[int, ...]]:
         """Map each gcd value to the ascending residues where it occurs."""
@@ -70,10 +73,6 @@ def brute_force_profile(
     if modulus > cap:
         raise CapExceeded(f"period {modulus} exceeds the brute-force cap {cap}")
     values = tuple(math.gcd(f.evaluate(n), g.evaluate(n)) for n in range(modulus))
-    histogram = dict(Counter(values))
     return BruteForceProfile(
-        modulus=modulus,
-        values=values,
-        histogram=histogram,
-        gcd_range=tuple(sorted(histogram)),
+        modulus=modulus, values=values, histogram=dict(Counter(values))
     )

@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import CapExceeded, InputError, ParseError
 
@@ -333,41 +332,46 @@ def parse_poly(text: str) -> IntPoly:
 def gcd_over_Z(f: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive gcd in Z[x] with positive leading coefficient.
 
-    Computed by the Euclidean algorithm over Q followed by denominator
-    clearing and content removal; the result is the constant 1 exactly when
-    f and g are coprime over Q.
+    Computed by the primitive polynomial remainder sequence: each
+    pseudo-remainder is divided by its content, so every step stays in Z[x].
+    The result is the constant 1 exactly when f and g are coprime over Q.
     """
     if f.is_zero() and g.is_zero():
         raise InputError("gcd of two zero polynomials is undefined")
-    a = [Fraction(c) for c in f.coeffs]
-    b = [Fraction(c) for c in g.coeffs]
+    a, b = list(f.coeffs), list(g.coeffs)
     while b:
-        a, b = b, _qpoly_rem(a, b)
-    return _primitive_part(a)
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    a = _primitive(a)
+    if a[0] < 0:
+        a = [-c for c in a]
+    return IntPoly(tuple(a))
 
 
-def _qpoly_rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    # Remainder of the division num = q*den + rem over Q; lists leading-first.
-    num = list(num)
-    dn = len(den)
-    lead = den[0]
-    while len(num) >= dn:
-        q = num[0] / lead
-        if q:
-            for k in range(1, dn):
-                num[k] -= q * den[k]
-        num.pop(0)
-        while num and num[0] == 0:
-            num.pop(0)
-    return num
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    # prem(a, b): the remainder of lc(b)**(deg a - deg b + 1) * a modulo b.
+    deg_b = len(b) - 1
+    lead = b[0]
+    rem = list(a)
+    steps = len(a) - len(b) + 1
+    while rem and len(rem) - 1 >= deg_b:
+        top = rem[0]
+        rem = [lead * c for c in rem[1:]]
+        for k in range(1, len(b)):
+            rem[k - 1] -= top * b[k]
+        while rem and rem[0] == 0:
+            rem.pop(0)
+        steps -= 1
+    if steps > 0 and rem:
+        scale = lead**steps
+        rem = [c * scale for c in rem]
+    return rem
 
 
-def _primitive_part(coeffs_q: Iterable[Fraction]) -> IntPoly:
-    coeffs_q = list(coeffs_q)
-    scale = reduce(math.lcm, (c.denominator for c in coeffs_q), 1)
-    ints = [int(c * scale) for c in coeffs_q]
-    content = reduce(math.gcd, ints, 0)
-    ints = [v // content for v in ints]
-    if ints[0] < 0:
-        ints = [-v for v in ints]
-    return IntPoly(tuple(ints))
+def _content(coeffs: list[int]) -> int:
+    return reduce(math.gcd, coeffs, 0)
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    # The zero polynomial (content 0) stays empty.
+    content = _content(coeffs)
+    return [c // content for c in coeffs]

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 from polygcd import (
+    BruteForceProfile,
     CapExceeded,
     CriterionInapplicable,
     GcdAtlas,
+    GcdProfile,
     IntPoly,
     InvariantBreach,
     MonicIntPoly,
@@ -62,6 +65,21 @@ def test_analyze_not_squarefree_branch():
     assert outcome.profile.gcd_range == (1, 2)
     assert not outcome.witness_applicable
     assert outcome.witness is None
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (GcdAtlas, "squarefree"),
+        (GcdProfile, "gcd_range"),
+        (NotSquarefree, "witness_applicable"),
+        (BruteForceProfile, "gcd_range"),
+    ],
+)
+def test_derived_attributes_are_not_stored(cls, name):
+    # Each is read from another field (or is constant), so it cannot disagree.
+    assert name not in {field.name for field in dataclasses.fields(cls)}
+    assert hasattr(cls, name)
 
 
 def test_analyze_not_squarefree_without_profile_when_over_cap():

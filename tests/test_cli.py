@@ -221,20 +221,29 @@ def test_exit_2_on_parser_degree_cap_before_expanding(capsys, expr, degree):
     assert err.endswith(f"exceeds the parser cap {MAX_DEGREE}\n")
 
 
-def test_seed_env_var_is_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("POLYGCD_SEED", "42")
-    status, out, _ = run_cli(
-        capsys, "analyze", "--f", "x^2+3", "--g", "(x+1)^2+3", "--json"
-    )
-    assert status == 0
-    assert json.loads(out)["resultant"] == "13"
-
-
-def test_non_integer_seed_env_var_exits_1(capsys, monkeypatch):
-    monkeypatch.setenv("POLYGCD_SEED", "abc")
-    status, out, err = run_cli(capsys, "analyze", "--f", "x^2+3", "--g", "(x+1)^2+3")
-    assert status == 1 and out == ""
-    assert err == "error: POLYGCD_SEED must be an integer, got 'abc'\n"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([*command, "--f", f, "--g", g], id=f"{label}-{name}")
+        for name, f, g in [
+            ("r13", "x^2+3", "(x+1)^2+3"),
+            # a semiprime resultant that only Pollard rho splits
+            ("semiprime", "x", "x+1000003*1000033"),
+        ]
+        for label, command in [
+            ("analyze", ["analyze"]),
+            ("json", ["analyze", "--json"]),
+            ("witness", ["witness"]),
+        ]
+    ],
+)
+def test_seed_env_var_is_ignored(capsys, monkeypatch, argv):
+    monkeypatch.delenv("POLYGCD_SEED", raising=False)
+    unset = run_cli(capsys, *argv)
+    assert unset[0] == 0
+    for value in ("42", "abc"):
+        monkeypatch.setenv("POLYGCD_SEED", value)
+        assert run_cli(capsys, *argv) == unset
 
 
 @pytest.mark.parametrize(
@@ -242,7 +251,8 @@ def test_non_integer_seed_env_var_exits_1(capsys, monkeypatch):
     [
         (["analyze", "--f", "x", "--g", "x+1", "--cap-brute", "0"], "0"),
         (["period", "--f", "x", "--g", "x+1", "--cap-brute", "-3"], "-3"),
-        (["brute-force", "--f", "x", "--g", "x+1", "--cap-divisors", "-1"], "-1"),
+        (["analyze", "--f", "x", "--g", "x+1", "--cap-divisors", "-1"], "-1"),
+        (["analyze", "--f", "x", "--g", "x+1", "--cap-residues", "0"], "0"),
     ],
 )
 def test_non_positive_cap_exits_1(capsys, argv, cap):
@@ -251,11 +261,14 @@ def test_non_positive_cap_exits_1(capsys, argv, cap):
     assert err == f"error: caps must be positive, got {cap}\n"
 
 
-def test_seed_env_var_is_checked_before_the_caps(capsys, monkeypatch):
-    monkeypatch.setenv("POLYGCD_SEED", "abc")
-    status, _, err = run_cli(capsys, "analyze", "--f", "x", "--g", "x+1", "--cap-brute", "0")
-    assert status == 1
-    assert err == "error: POLYGCD_SEED must be an integer, got 'abc'\n"
+@pytest.mark.parametrize("flag", ["--cap-residues", "--cap-divisors"])
+def test_brute_force_rejects_the_listing_caps(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["brute-force", "--f", "x", "--g", "x+1", flag, "5"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: polygcd ")
+    assert err.endswith(f"polygcd: error: unrecognized arguments: {flag} 5\n")
 
 
 def test_analyze_json_zero_resultant(capsys):

@@ -1,13 +1,19 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from polygcd import IntPoly, MonicIntPoly, gcd_over_Z, parse_poly
 from polygcd.errors import InputError, ParseError
 from polygcd.poly import MAX_DEGREE
 
-from support import naive_mul, poly_divides_over_Z, reduce_mod
+from support import (
+    naive_gcd_over_Q,
+    naive_mul,
+    poly_divides_over_Z,
+    primitive_part,
+    reduce_mod,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +218,8 @@ def test_gcd_with_zero_and_sign_normalization():
 
 
 @given(coeff_lists(), coeff_lists(), coeff_lists())
+# x is a common factor that is not the planted one: the gcd is x^2 + x
+@example([1, 0], [1, 0, 0], [1, 1])
 def test_gcd_divides_both_inputs_and_detects_common_factors(a, b, c):
     common = IntPoly(tuple(c))
     pa = IntPoly(tuple(a)) * common
@@ -223,6 +231,8 @@ def test_gcd_divides_both_inputs_and_detects_common_factors(a, b, c):
     assert d.leading > 0
     assert poly_divides_over_Z(d, pa)
     assert poly_divides_over_Z(d, pb)
+    # greatest: no common factor over Q is missing
+    assert d == primitive_part(naive_gcd_over_Q(pa, pb))
     if not common.is_zero() and common.degree >= 1 and not (pa.is_zero() or pb.is_zero()):
         # the primitive part of the planted factor must divide the gcd
         assert poly_divides_over_Z(gcd_over_Z(common, common), d)
