@@ -165,10 +165,10 @@ def analyze(
 ) -> AnalysisOutcome:
     """Classify the pair (f, g) and build the atlas when it exists.
 
-    With ``verify=True`` the resultant is cross-checked against the
-    subresultant PRS and, when |r| is within ``brute_cap``, the atlas (entry
-    by entry) or the non-square-free profile is compared against the
-    brute-force oracle.
+    With ``verify=True`` the resultant is cross-checked against the Bareiss
+    determinant of the Sylvester matrix and, when |r| is within
+    ``brute_cap``, the atlas (entry by entry) or the non-square-free profile
+    is compared against the brute-force oracle.
     """
     r = resultant(f, g, verify=verify)
     if r == 0:

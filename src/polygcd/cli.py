@@ -38,6 +38,9 @@ from .snf import smith_normal_form
 
 __all__ = ["main"]
 
+# Residues the text report prints per divisor.
+PREVIEW = 16
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with status 2 by default, which collides with the
@@ -71,11 +74,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--cap-residues", type=int, default=RESIDUE_LISTING_CAP, metavar="N")
     p.add_argument("--cap-divisors", type=int, default=DIVISOR_CAP, metavar="N")
-    p.add_argument("--verify", action="store_true", help="cross-check against PRS and brute force")
+    p.add_argument("--verify", action="store_true", help="cross-check against the Bareiss determinant and brute force")
 
     p = sub.add_parser("resultant", help="print the signed resultant")
     add_pair(p)
-    p.add_argument("--verify", action="store_true", help="cross-check against the subresultant PRS")
+    p.add_argument("--verify", action="store_true", help="cross-check against the Bareiss determinant of the Sylvester matrix")
 
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
     p.add_argument("--matrix", metavar="FILE", help="whitespace-separated rows; stdin when omitted")
@@ -130,11 +133,14 @@ def _prime_note(p: int) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     f = _monic(args.f)
     g = _monic(args.g)
+    # The text report prints every residue listed, at most PREVIEW per
+    # divisor, and adds "..." when an entry is truncated.
+    residue_cap = args.cap_residues if args.json else min(args.cap_residues, PREVIEW)
     outcome = analyze(
         f,
         g,
         brute_cap=args.cap_brute,
-        residue_cap=args.cap_residues,
+        residue_cap=residue_cap,
         divisor_cap=args.cap_divisors,
         verify=args.verify,
     )
@@ -171,9 +177,9 @@ def _report_atlas(atlas: GcdAtlas, args: argparse.Namespace) -> None:
         print(f"{r[0]:>{w0}}  {r[1]:>{w1}}  {r[2]}")
 
 
-def _residue_preview(entry, limit: int = 16) -> str:
-    shown = ", ".join(str(n) for n in entry.residues[:limit])
-    if entry.truncated or len(entry.residues) > limit:
+def _residue_preview(entry) -> str:
+    shown = ", ".join(str(n) for n in entry.residues)
+    if entry.truncated:
         return f"{shown}, ... ({entry.multiplicity} total)"
     return shown
 

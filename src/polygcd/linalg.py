@@ -3,10 +3,10 @@
 The resultant of monic f (degree k) and g (degree l) is the determinant of
 the (k+l)-square Sylvester matrix whose first l rows carry the coefficients
 of f and last k rows those of g, each block shifted right one column per
-row.  ``resultant`` evaluates that determinant with fraction-free Bareiss
-elimination; ``resultant_prs`` recomputes it with the subresultant
-polynomial remainder sequence, giving a structurally independent value to
-cross-check against.
+row.  ``resultant`` computes it with the subresultant polynomial remainder
+sequence (``resultant_prs``), which needs no matrix; under ``verify`` it
+also evaluates the determinant with fraction-free Bareiss elimination
+(``det_bareiss``), a structurally independent value to cross-check against.
 """
 from __future__ import annotations
 
@@ -139,17 +139,18 @@ def det_bareiss(matrix: IntMatrix) -> int:
 
 
 def resultant(f: IntPoly, g: IntPoly, *, verify: bool = False) -> int:
-    """Resultant as the Bareiss determinant of the Sylvester matrix.
+    """Resultant by the subresultant PRS.
 
-    With ``verify=True`` the subresultant-PRS value is computed as well and
-    a mismatch raises InvariantBreach (it would indicate a bug).
+    With ``verify=True`` the Bareiss determinant of the Sylvester matrix is
+    computed as well and a mismatch raises InvariantBreach (it would
+    indicate a bug).
     """
-    value = det_bareiss(sylvester_matrix(f, g))
+    value = resultant_prs(f, g)
     if verify:
-        other = resultant_prs(f, g)
+        other = det_bareiss(sylvester_matrix(f, g))
         if other != value:
             raise InvariantBreach(
-                f"resultant mismatch: bareiss gives {value}, prs gives {other}"
+                f"resultant mismatch: bareiss gives {other}, prs gives {value}"
             )
     return value
 

@@ -64,9 +64,11 @@ def brute_force_profile(
 ) -> BruteForceProfile:
     """Tabulate gcd(f(n), g(n)) for n in [0, |r|).
 
-    Requires a nonzero resultant with |r| <= cap.
+    Requires a nonzero resultant with |r| <= cap.  The modulus comes from
+    ``resultant(verify=True)``, so it rests on the Bareiss determinant as
+    well as on the PRS that the production path uses.
     """
-    r = resultant(f, g)
+    r = resultant(f, g, verify=True)
     if r == 0:
         raise InputError("resultant is zero: the gcd values have no finite period")
     modulus = abs(r)

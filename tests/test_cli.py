@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import polygcd.cli
+import polygcd.linalg
+from polygcd import MonicIntPoly, brute_force_profile
 from polygcd.cli import main
 from polygcd.poly import MAX_DEGREE
 
@@ -70,6 +72,80 @@ def test_analyze_verify_flag(capsys):
     )
     assert status == 0
     assert "square-free: yes" in out
+
+
+# Square-free pairs around the 16 residues the text report prints per
+# divisor: r = 17 (divisor 1 has multiplicity 16), r = -19 (18), r = 38 (18
+# and 18) and r = 2310 (up to 480).  A square-free r has no multiplicity 17:
+# each one is a product of p - 1 over primes p, so 1 or even.
+LISTING_PAIRS = [
+    ("x^2-8", "x^2+x-3", 17),
+    ("x^2-7", "(x+1)^2-5", -19),
+    ("x^2+2", "x^2+x-4", 38),
+    ("x", "x^2+2310", 2310),
+]
+
+
+def oracle_text_report(f_text, g_text, r, cap):
+    """The text `analyze` report, built from the brute-force oracle."""
+    f, g = MonicIntPoly.parse(f_text), MonicIntPoly.parse(g_text)
+    oracle = brute_force_profile(f, g)
+    primes = [
+        p for p in range(2, abs(r) + 1) if r % p == 0 and all(p % q for q in range(2, p))
+    ]
+    lines = [
+        f"f = {f}",
+        f"g = {g}",
+        f"resultant = {r} = {'-' if r < 0 else ''}{' * '.join(map(str, primes))}",
+        "square-free: yes",
+    ]
+    for p in primes:
+        root = next(n for n in range(p) if oracle.values[n] % p == 0)
+        lines.append(f"common root mod {p}: n = {root}")
+    lines.append("")
+    rows = []
+    shown = min(cap, 16)
+    for d, residues in sorted(oracle.residues_by_value().items()):
+        preview = ", ".join(map(str, residues[:shown]))
+        if len(residues) > shown:
+            preview += f", ... ({len(residues)} total)"
+        rows.append((str(d), str(len(residues)), preview))
+    w0 = max(len("divisor"), *(len(row[0]) for row in rows))
+    w1 = max(len("multiplicity"), *(len(row[1]) for row in rows))
+    lines.append(f"{'divisor':>{w0}}  {'multiplicity':>{w1}}  residues mod {abs(r)}")
+    lines += [f"{a:>{w0}}  {b:>{w1}}  {c}" for a, b, c in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("cap", [None, 1, 16, 17, 20])
+@pytest.mark.parametrize("f_text, g_text, r", LISTING_PAIRS)
+def test_text_listing_matches_the_oracle_at_the_preview_boundary(capsys, f_text, g_text, r, cap):
+    argv = ["analyze", "--f", f_text, "--g", g_text]
+    if cap is not None:
+        argv += ["--cap-residues", str(cap)]
+    for verify in ([], ["--verify"]):
+        status, out, err = run_cli(capsys, *argv, *verify)
+        assert (status, err) == (0, "")
+        assert out == oracle_text_report(f_text, g_text, r, cap or 10**4)
+
+
+@pytest.mark.parametrize("cap", [1, 16, 17, 20, 479, 480])
+def test_json_lists_min_of_multiplicity_and_cap(capsys, cap):
+    f_text, g_text = "x", "x^2+2310"
+    f, g = MonicIntPoly.parse(f_text), MonicIntPoly.parse(g_text)
+    by_value = brute_force_profile(f, g).residues_by_value()
+    status, out, _ = run_cli(
+        capsys, "analyze", "--f", f_text, "--g", g_text, "--json", "--cap-residues", str(cap)
+    )
+    assert status == 0
+    entries = json.loads(out)["entries"]
+    assert [int(e["divisor"]) for e in entries] == sorted(by_value)
+    for e in entries:
+        expected = by_value[int(e["divisor"])]
+        assert int(e["multiplicity"]) == len(expected)
+        assert e["residues"] == [str(n) for n in expected[:cap]]
+        assert e["residues_truncated"] is (len(expected) > cap)
+    assert max(int(e["multiplicity"]) for e in entries) == 480
 
 
 def test_json_round_trip_is_byte_identical(capsys):
@@ -330,6 +406,19 @@ def test_exit_3_on_invariant_breach(capsys, monkeypatch):
     status, out, err = run_cli(capsys, "period", "--f", "x", "--g", "x+1")
     assert status == 3 and out == ""
     assert err == "INTERNAL INVARIANT BREACH (this is a bug): forced for the exit-code test\n"
+
+
+def test_resultant_verify_exits_3_on_a_bareiss_mismatch(capsys, monkeypatch):
+    det = polygcd.linalg.det_bareiss
+    monkeypatch.setattr(polygcd.linalg, "det_bareiss", lambda m: det(m) + 1)
+    argv = ("resultant", "--f", "x^2+3", "--g", "(x+1)^2+3")
+    assert run_cli(capsys, *argv) == (0, "13\n", "")
+    assert run_cli(capsys, *argv, "--verify") == (
+        3,
+        "",
+        "INTERNAL INVARIANT BREACH (this is a bug):"
+        " resultant mismatch: bareiss gives 14, prs gives 13\n",
+    )
 
 
 def test_cli_exports_only_main():

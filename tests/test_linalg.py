@@ -14,7 +14,8 @@ from polygcd import (
     resultant_prs,
     sylvester_matrix,
 )
-from polygcd.errors import InputError
+import polygcd.linalg
+from polygcd.errors import InputError, InvariantBreach
 
 from support import naive_det, random_monic, solve_mod_p
 
@@ -160,6 +161,27 @@ def test_resultant_verify_mode_cross_checks():
     assert resultant(f, g, verify=True) == P52
 
 
+def test_verify_catches_a_bareiss_mismatch(monkeypatch):
+    # The PRS is the resultant; Bareiss runs only under verify, as the check.
+    det = polygcd.linalg.det_bareiss
+    monkeypatch.setattr(polygcd.linalg, "det_bareiss", lambda m: det(m) + 1)
+    f = MonicIntPoly.parse("x^2+3")
+    g = MonicIntPoly.parse("(x+1)^2+3")
+    assert resultant(f, g) == 13
+    with pytest.raises(
+        InvariantBreach, match="resultant mismatch: bareiss gives 14, prs gives 13"
+    ):
+        resultant(f, g, verify=True)
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_resultant_rejects_degree_zero(verify):
+    with pytest.raises(InputError):
+        resultant(IntPoly((5,)), MonicIntPoly.parse("x+1"), verify=verify)
+    with pytest.raises(InputError):
+        resultant(MonicIntPoly.parse("x^2+1"), IntPoly((1,)), verify=verify)
+
+
 def test_resultant_of_monic_linears_is_g_at_root_of_f():
     # res(x - a, x - b) = g(a) = a - b when both are monic linear.
     for a in range(-4, 5):
@@ -175,7 +197,7 @@ def test_bareiss_and_prs_agree_on_many_random_pairs():
     for _ in range(400):
         f = random_monic(rng)
         g = random_monic(rng)
-        assert resultant(f, g) == resultant_prs(f, g)
+        assert det_bareiss(sylvester_matrix(f, g)) == resultant_prs(f, g)
 
 
 def test_prs_handles_degree_collapse_inside_the_remainder_sequence():
@@ -183,10 +205,10 @@ def test_prs_handles_degree_collapse_inside_the_remainder_sequence():
     # pseudo-division scaling.
     f = MonicIntPoly((1, 0, 0, 0, 1, 1))  # x^5 + x + 1
     g = MonicIntPoly((1, 0, 0, 0, 0, 1))  # x^5 + 1
-    assert resultant(f, g) == resultant_prs(f, g)
+    assert det_bareiss(sylvester_matrix(f, g)) == resultant_prs(f, g)
     f2 = MonicIntPoly((1, 0, 0, 0))  # x^3
     g2 = MonicIntPoly((1, 0, 0, 0, 0, 0, 7))  # x^6 + 7
-    assert resultant(f2, g2) == resultant_prs(f2, g2)
+    assert det_bareiss(sylvester_matrix(f2, g2)) == resultant_prs(f2, g2)
 
 
 def test_resultant_zero_iff_common_factor():

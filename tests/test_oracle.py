@@ -9,7 +9,8 @@ from polygcd import (
     brute_force_profile,
     resultant,
 )
-from polygcd.errors import InputError
+import polygcd.linalg
+from polygcd.errors import InputError, InvariantBreach
 
 from support import check_divides, check_periodicity, random_monic
 
@@ -57,6 +58,15 @@ def test_profile_linear_pair():
 )
 def test_profile_minimal_period(f_text, g_text, period):
     assert brute_force_profile(mp(f_text), mp(g_text)).minimal_period() == period
+
+
+def test_profile_modulus_rests_on_the_bareiss_determinant(monkeypatch):
+    # The production resultant is the PRS; the oracle also checks it against
+    # Bareiss, so a fault in either algorithm cannot pass as ground truth.
+    det = polygcd.linalg.det_bareiss
+    monkeypatch.setattr(polygcd.linalg, "det_bareiss", lambda m: det(m) + 1)
+    with pytest.raises(InvariantBreach):
+        brute_force_profile(mp("x^2+3"), mp("(x+1)^2+3"))
 
 
 def test_profile_rejects_zero_resultant_and_enormous_periods():
