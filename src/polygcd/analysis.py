@@ -3,11 +3,11 @@
 For monic integer f and g with square-free resultant r, every positive
 divisor d of r occurs as gcd(f(n), g(n)), and within one period of length
 |r| it occurs exactly prod(p - 1) times, the product running over the
-primes p dividing |r|/d.  ``analyze`` turns that statement into data: for
-each prime p | r the unique residue c_p with f(c_p) = g(c_p) = 0 mod p is
-extracted, and with c the CRT combination of the c_p,
-gcd(f(n), g(n)) = gcd(n - c, |r|).  So the residues realizing d are the
-n = c mod d with gcd((n - c) / d, |r| / d) = 1, listed by one ascending walk.
+primes p dividing |r|/d.  ``analyze`` turns that statement into data: the
+first subresultant S_1 = s1*x + s0 lies in the ideal (f, g) and s1 is a
+unit mod r, so with c = -s0/s1 mod |r|, gcd(f(n), g(n)) = gcd(n - c, |r|).
+So the residues realizing d are the n = c mod d with
+gcd((n - c) / d, |r| / d) = 1, listed by one ascending walk.
 
 When the hypothesis fails the function still reports what it can: a zero
 resultant comes back with the common factor in Z[x]; a non-square-free
@@ -18,7 +18,8 @@ gcd(f(n), g(n)) depends only on n mod p^e for p^e exactly dividing r, so
 the value histogram is the multiplicative convolution of one small table
 per prime power and the minimal period is the product of the local ones.
 ``minimal_period`` returns that product for any nonzero r (|r| itself
-when r is square-free).  Under ``verify`` the profile is checked against
+when r is square-free).  Under ``verify`` each c mod p is checked against
+the common root of a gcd in F_p[x], and the atlas or the profile against
 the brute-force oracle.
 """
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import CapExceeded, CriterionInapplicable, InputError, InvariantBreach
-from .linalg import resultant
+from .linalg import _subresultant_resultant, resultant
 from .modp import common_root_mod_p
 from .ntheory import DIVISOR_CAP, Factorization, divisors, factor, is_squarefree, crt
 from .oracle import BRUTE_FORCE_CAP, BruteForceProfile, brute_force_profile
@@ -166,9 +167,10 @@ def analyze(
     """Classify the pair (f, g) and build the atlas when it exists.
 
     With ``verify=True`` the resultant is cross-checked against the Bareiss
-    determinant of the Sylvester matrix and, when |r| is within
-    ``brute_cap``, the atlas (entry by entry) or the non-square-free profile
-    is compared against the brute-force oracle.
+    determinant of the Sylvester matrix, every root c mod p of the atlas
+    against ``common_root_mod_p`` and, when |r| is within ``brute_cap``,
+    the atlas (entry by entry) or the non-square-free profile against the
+    brute-force oracle.
     """
     r = resultant(f, g, verify=verify)
     if r == 0:
@@ -190,8 +192,10 @@ def analyze(
             resultant=r, factorization=fact, profile=profile, witness=witness
         )
     atlas = build_atlas(f, g, fact, residue_cap=residue_cap, divisor_cap=divisor_cap)
-    if verify and abs(r) <= brute_cap:
-        _cross_check_atlas(atlas, brute_force_profile(f, g, cap=brute_cap))
+    if verify:
+        _cross_check_roots(atlas)
+        if abs(r) <= brute_cap:
+            _cross_check_atlas(atlas, brute_force_profile(f, g, cap=brute_cap))
     return atlas
 
 
@@ -203,13 +207,23 @@ def build_atlas(
     residue_cap: int = RESIDUE_LISTING_CAP,
     divisor_cap: int = DIVISOR_CAP,
 ) -> GcdAtlas:
-    """Atlas for a known square-free nonzero resultant factorization."""
+    """Atlas for a known square-free nonzero resultant factorization.
+
+    One walk of the subresultant chain gives r and S_1 = s1*x + s0, hence
+    c = -s0/s1 mod |r|; the common root of f and g mod each p | r is c mod p.
+    """
     if not is_squarefree(fact):
         raise InputError("build_atlas needs a square-free resultant")
     modulus = abs(fact.n)
+    r, (s1, s0) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
+    if r != fact.n or math.gcd(s1, r) != 1:
+        raise InvariantBreach(
+            f"the subresultant chain gives r = {r} and s1 = {s1}; expected"
+            f" r = {fact.n} with gcd(s1, r) = 1"
+        )
+    c = -s0 * pow(s1, -1, modulus) % modulus
     primes = list(fact.primes())
-    roots = {p: _common_root(f, g, p) for p in primes}
-    c = crt((roots[p], p) for p in primes)[0]
+    roots = {p: c % p for p in primes}
     entries = []
     total = 0
     for d in divisors(fact, cap=divisor_cap):
@@ -248,15 +262,15 @@ def _atlas_entry(
     return AtlasEntry(d, multiplicity, tuple(residues), multiplicity > len(residues))
 
 
-def _common_root(f: MonicIntPoly, g: MonicIntPoly, p: int) -> int:
-    """The unique common root of f and g mod a prime p dividing r exactly once."""
-    c = common_root_mod_p(f, g, p)
-    if c is None:
-        raise InvariantBreach(
-            f"gcd of f and g mod {p} does not have degree 1 although {p}"
-            " divides the resultant exactly once"
-        )
-    return c
+def _cross_check_roots(atlas: GcdAtlas) -> None:
+    # A gcd in F_p[x] finds each root apart from the chain, at any size of p.
+    for p, c in atlas.roots.items():
+        c_p = common_root_mod_p(atlas.f, atlas.g, p)
+        if c_p != c:
+            raise InvariantBreach(
+                f"common root mod {p}: the subresultant gives {c},"
+                f" the gcd mod {p} gives {c_p}"
+            )
 
 
 def _cross_check_atlas(atlas: GcdAtlas, profile: BruteForceProfile) -> None:
@@ -302,9 +316,7 @@ def _local_table(
     The p-part never exceeds p^e and depends only on n mod p^e.
     """
     if e == 1:
-        # Exactly one common root mod p; a gcd in F_p[x] finds it without
-        # scanning the p residues, which may be many.
-        _common_root(f, g, p)
+        # p dividing r exactly once forces exactly one common root mod p.
         return {1: p - 1, p: 1}, p
     # levels[k] holds the residues n mod p^k with p^k | f(n) and p^k | g(n).
     # Only the p lifts of a residue in levels[k - 1] can lie in levels[k].

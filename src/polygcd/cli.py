@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--cap-residues", type=int, default=RESIDUE_LISTING_CAP, metavar="N")
     p.add_argument("--cap-divisors", type=int, default=DIVISOR_CAP, metavar="N")
-    p.add_argument("--verify", action="store_true", help="cross-check against the Bareiss determinant and brute force")
+    p.add_argument("--verify", action="store_true", help="cross-check against the Bareiss determinant, gcds mod p and brute force")
 
     p = sub.add_parser("resultant", help="print the signed resultant")
     add_pair(p)

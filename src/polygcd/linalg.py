@@ -7,6 +7,8 @@ row.  ``resultant`` computes it with the subresultant polynomial remainder
 sequence (``resultant_prs``), which needs no matrix; under ``verify`` it
 also evaluates the determinant with fraction-free Bareiss elimination
 (``det_bareiss``), a structurally independent value to cross-check against.
+The same walk of the sequence yields the first subresultant S_1, from which
+the atlas reads its generator.
 """
 from __future__ import annotations
 
@@ -159,11 +161,13 @@ def resultant_prs(f: IntPoly, g: IntPoly) -> int:
     """Resultant by the subresultant polynomial remainder sequence."""
     if f.degree < 1 or g.degree < 1:
         raise InputError("resultant needs both degrees >= 1")
-    return _subresultant_resultant(list(f.coeffs), list(g.coeffs))
+    return _subresultant_resultant(list(f.coeffs), list(g.coeffs))[0]
 
 
-def _subresultant_resultant(a: list[int], b: list[int]) -> int:
-    # Coefficient lists leading-first, both of degree >= 1.
+def _subresultant_resultant(a: list[int], b: list[int]) -> tuple[int, tuple[int, int]]:
+    # Coefficient lists leading-first, both of degree >= 1.  Returns r and
+    # (s1, s0), the first subresultant S_1 = s1*x + s0 of the primitive parts
+    # up to sign (for two linear inputs, S_1 is the second one).
     s = 1
     if len(a) < len(b):
         a, b = b, a
@@ -175,21 +179,28 @@ def _subresultant_resultant(a: list[int], b: list[int]) -> int:
     b = [c // cont_b for c in b]
     t = cont_a ** (len(b) - 1) * cont_b ** (len(a) - 1)
     g = h = 1
-    while len(b) - 1 > 0:
+    s1 = s0 = 0  # S_1 = 0 when no block holds it: the chain skips degree 1
+    while True:
         deg_a, deg_b = len(a) - 1, len(b) - 1
+        if deg_b == 1 or (deg_a, deg_b) == (2, 0):
+            # b is S_{deg_a - 1}, and its block of subresultants, which ends
+            # with S_{deg_b} = (lc(b)/h)^(deg_a - deg_b - 1) * b, holds S_1.
+            k = max(deg_a - 2, 0)
+            s1, s0 = (_exact_div(b[0] ** k * c, h**k) for c in [0, *b][-2:])
+        if deg_b == 0:
+            break
         delta = deg_a - deg_b
         if deg_a % 2 == 1 and deg_b % 2 == 1:
             s = -s
         rem = _pseudo_rem(a, b)
         if not rem:
-            return 0
+            return 0, (s1, s0)
         divisor = g * h**delta
         a, b = b, [_exact_div(c, divisor) for c in rem]
         g = a[0]
         if delta > 0:
             h = _exact_div(g**delta, h ** (delta - 1))
-    deg_a = len(a) - 1
-    return s * t * _exact_div(b[0] ** deg_a, h ** (deg_a - 1))
+    return s * t * _exact_div(b[0] ** deg_a, h ** (deg_a - 1)), (s1, s0)
 
 
 def _exact_div(numerator: int, denominator: int) -> int:

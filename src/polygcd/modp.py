@@ -1,8 +1,10 @@
 """Arithmetic in F_p[x]: gcds and extraction of the common root of two
 polynomials reduced mod p.
 
-Python integers are arbitrary precision, so the same code paths serve
-word-sized primes and primes with dozens of digits.
+The atlas reads its common roots from the subresultant chain; this module
+finds them independently, for ``analyze --verify`` to check at every prime
+of r.  Python integers are arbitrary precision, so the same code paths
+serve word-sized primes and primes with dozens of digits.
 """
 from __future__ import annotations
 
@@ -34,10 +36,7 @@ class PrimeFieldPoly:
         if self.p < 2:
             raise InputError(f"modulus must be >= 2, got {self.p}")
         reduced = tuple(int(c) % self.p for c in self.coeffs)
-        i = 0
-        while i < len(reduced) and reduced[i] == 0:
-            i += 1
-        object.__setattr__(self, "coeffs", reduced[i:])
+        object.__setattr__(self, "coeffs", _strip(reduced))
 
     @classmethod
     def from_int_poly(cls, poly: IntPoly, p: int) -> PrimeFieldPoly:
@@ -55,18 +54,6 @@ class PrimeFieldPoly:
             return self
         inv = pow(self.coeffs[0], -1, self.p)
         return PrimeFieldPoly(self.p, tuple(c * inv % self.p for c in self.coeffs))
-
-    def evaluate(self, n: int) -> int:
-        acc = 0
-        for c in self.coeffs:
-            acc = (acc * n + c) % self.p
-        return acc
-
-
-def _check_same_modulus(f: PrimeFieldPoly, g: PrimeFieldPoly) -> int:
-    if f.p != g.p:
-        raise InputError(f"modulus mismatch: {f.p} vs {g.p}")
-    return f.p
 
 
 def _strip(coeffs: tuple[int, ...]) -> tuple[int, ...]:
@@ -96,7 +83,9 @@ def _divmod(num: tuple[int, ...], den: tuple[int, ...], p: int):
 
 def poly_gcd_mod_p(f: PrimeFieldPoly, g: PrimeFieldPoly) -> PrimeFieldPoly:
     """Monic gcd in F_p[x] by the Euclidean algorithm."""
-    p = _check_same_modulus(f, g)
+    if f.p != g.p:
+        raise InputError(f"modulus mismatch: {f.p} vs {g.p}")
+    p = f.p
     if f.is_zero() and g.is_zero():
         raise InputError("gcd of two zero polynomials is undefined")
     a, b = f.coeffs, g.coeffs

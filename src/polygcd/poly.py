@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
@@ -206,31 +207,18 @@ class _Token(NamedTuple):
 
 
 def _tokenize(text: str) -> list[_Token]:
+    # Integer literals are ASCII digits only: str.isdigit would also pass
+    # other scripts' digits and superscripts such as "²".
     out: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch == "x":
-            out.append(_Token("x", ch, i))
-            i += 1
-            continue
-        if ch in "+-*^()":
-            out.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("eof", "", n))
+    for match in re.finditer(r"[0-9]+|\S", text):
+        tok, pos = match.group(), match.start()
+        if tok[0] in "0123456789":
+            out.append(_Token("int", tok, pos))
+        elif tok in "x+-*^()":
+            out.append(_Token(tok, tok, pos))
+        else:
+            raise ParseError(f"unexpected character {tok!r}", pos)
+    out.append(_Token("eof", "", len(text)))
     return out
 
 

@@ -42,6 +42,20 @@ def naive_det(rows: list[list[int]]) -> int:
     return total
 
 
+def naive_first_subresultant(f: IntPoly, g: IntPoly) -> tuple[int, int]:
+    """(s1, s0) with S_1 = s1*x + s0, from the defining determinants.
+
+    The (k+l-2) x (k+l-1) matrix holds l-1 shifted rows of f and k-1 of g
+    (k, l the degrees, both >= 2); s1 and s0 are the cofactor determinants
+    of its first k+l-3 columns together with its column of x^1 or of x^0.
+    """
+    k, l = f.degree, g.degree
+    width = k + l - 1
+    rows = [[0] * i + list(f.coeffs) + [0] * (width - k - 1 - i) for i in range(l - 1)]
+    rows += [[0] * j + list(g.coeffs) + [0] * (width - l - 1 - j) for j in range(k - 1)]
+    return tuple(naive_det([r[: width - 2] + [r[col]] for r in rows]) for col in (-2, -1))
+
+
 def naive_mul(a: list[int], b: list[int]) -> list[int]:
     """Schoolbook product of leading-first coefficient lists."""
     if not a or not b:

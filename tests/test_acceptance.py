@@ -32,6 +32,7 @@ from polygcd import (
     smith_normal_form,
     sylvester_matrix,
 )
+from polygcd.linalg import _subresultant_resultant
 
 from support import (
     acceptance_pair_pool,
@@ -242,3 +243,32 @@ def test_criterion_10_bareiss_prs_cross_validation():
             f = random_monic(rng, max_degree=4, coeff_bound=9)
             g = random_monic(rng, max_degree=4, coeff_bound=9)
             assert det_bareiss(sylvester_matrix(f, g)) == resultant_prs(f, g)
+
+
+def test_criterion_11_cyclic_exactly_when_s1_is_a_unit(pair_pool):
+    with criterion(11, "|r| occurs iff gcd(s1, r) = 1, then gcd = gcd(n - c, |r|); roots = F_p roots"):
+        cyclic = not_squarefree_cyclic = squarefree = 0
+        for f, g, r in pair_pool:
+            if r == 0:
+                continue
+            _, (s1, s0) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
+            fact = factor(r)
+            if abs(r) <= 10**4:
+                profile = brute_force_profile(f, g)
+                unit = math.gcd(s1, r) == 1
+                assert (abs(r) in profile.histogram) == unit
+                if unit:
+                    modulus = abs(r)
+                    c = -s0 * pow(s1, -1, modulus) % modulus
+                    for n, value in enumerate(profile.values):
+                        assert value == math.gcd(n - c, modulus)
+                    cyclic += 1
+                    not_squarefree_cyclic += not is_squarefree(fact)
+            if is_squarefree(fact):
+                atlas = build_atlas(f, g, fact, residue_cap=1)
+                for p in fact.primes():
+                    assert atlas.roots[p] == common_root_mod_p(f, g, p)
+                squarefree += 1
+        # Square-free r is the paper's sufficient case; more pairs are cyclic.
+        assert cyclic >= 500 and not_squarefree_cyclic >= 100
+        assert squarefree >= 600

@@ -123,6 +123,19 @@ def test_atlas_linear_pair_with_negative_resultant():
     assert math.gcd(f.evaluate(1), g.evaluate(1)) == 2
 
 
+@pytest.mark.parametrize("f_text, g_text", [("x+1", "x"), ("x^2-4*x+1", "x^3-3*x^2-3*x")])
+def test_atlas_for_a_unit_resultant(f_text, g_text):
+    # |r| = 1 makes s1 a unit mod r even when the chain skips degree 1 (s1 = 0).
+    atlas = analyze(mp(f_text), mp(g_text), verify=True)
+    assert abs(atlas.resultant) == 1 and atlas.roots == {}
+    assert [(e.divisor, e.multiplicity, e.residues) for e in atlas.entries] == [(1, 1, (0,))]
+
+
+def test_build_atlas_refuses_a_factorization_of_another_resultant():
+    with pytest.raises(InvariantBreach, match="expected r = 11"):
+        build_atlas(mp("x^2+3"), mp("(x+1)^2+3"), factor(11))
+
+
 def test_atlas_multiplicity_formula_is_count_shape_only():
     # For squarefree |r| = 30: d = 1 has multiplicity (2-1)(3-1)(5-1) = 8,
     # d = 30 has multiplicity 1, and the sum over divisors is 30.

@@ -1,12 +1,17 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import polygcd.analysis
 import polygcd.cli
 import polygcd.linalg
+import polygcd.modp
 from polygcd import MonicIntPoly, brute_force_profile
 from polygcd.cli import main
 from polygcd.poly import MAX_DEGREE
@@ -419,6 +424,62 @@ def test_resultant_verify_exits_3_on_a_bareiss_mismatch(capsys, monkeypatch):
         "INTERNAL INVARIANT BREACH (this is a bug):"
         " resultant mismatch: bareiss gives 14, prs gives 13\n",
     )
+
+
+def test_analyze_verify_checks_every_root_against_the_gcd_mod_p(capsys, monkeypatch):
+    # |r| is a 52-digit prime, far above the brute-force cap, so only the
+    # gcd in F_p[x] can catch a wrong c.
+    real = polygcd.analysis.common_root_mod_p
+    monkeypatch.setattr(
+        polygcd.analysis, "common_root_mod_p", lambda f, g, p: (real(f, g, p) + 1) % p
+    )
+    argv = ("analyze", "--f", "x^17+9", "--g", "(x+1)^17+9")
+    assert run_cli(capsys, *argv)[0] == 0
+    status, out, err = run_cli(capsys, *argv, "--verify")
+    assert status == 3 and out == ""
+    assert err.startswith(f"INTERNAL INVARIANT BREACH (this is a bug): common root mod {P52}:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--f", "x^2+3", "--g", "(x+1)^2+3"],
+        ["analyze", "--f", "x^17+9", "--g", "(x+1)^17+9"],
+        ["analyze", "--f", "x", "--g", "x^2+2310", "--json"],
+        # r = 12 = 2^2 * 3: the profile's table for 3 needs no root
+        ["analyze", "--f", "x", "--g", "x^2+12"],
+        ["period", "--f", "x", "--g", "x^2+2310"],
+    ],
+)
+def test_without_verify_nothing_calls_into_modp(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("polygcd.modp was called")
+
+    monkeypatch.setattr(polygcd.analysis, "common_root_mod_p", refuse)
+    monkeypatch.setattr(polygcd.modp, "poly_gcd_mod_p", refuse)
+    status, _, err = run_cli(capsys, *argv)
+    assert (status, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv, expected_status",
+    [
+        (["analyze", "--f", "x^2+3", "--g", "(x+1)^2+3"], 0),
+        (["analyze", "--f", "x^2+", "--g", "x+1"], 1),
+    ],
+)
+def test_module_runs_as_a_process_like_main(capsys, argv, expected_status):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "polygcd.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == expected_status
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
 
 
 def test_cli_exports_only_main():

@@ -17,7 +17,7 @@ from polygcd import (
 import polygcd.linalg
 from polygcd.errors import InputError, InvariantBreach
 
-from support import naive_det, random_monic, solve_mod_p
+from support import naive_det, naive_first_subresultant, random_monic, solve_mod_p
 
 P52 = 8936582237915716659950962253358945635793453256935559
 
@@ -209,6 +209,66 @@ def test_prs_handles_degree_collapse_inside_the_remainder_sequence():
     f2 = MonicIntPoly((1, 0, 0, 0))  # x^3
     g2 = MonicIntPoly((1, 0, 0, 0, 0, 0, 7))  # x^6 + 7
     assert det_bareiss(sylvester_matrix(f2, g2)) == resultant_prs(f2, g2)
+
+
+# ---------------------------------------------------------------------------
+# The first subresultant, from the same walk as the PRS resultant
+# ---------------------------------------------------------------------------
+
+
+def first_subresultant(f, g):
+    return polygcd.linalg._subresultant_resultant(list(f.coeffs), list(g.coeffs))[1]
+
+
+def assert_equal_up_to_sign(got, expected):
+    assert got in (expected, tuple(-v for v in expected))
+
+
+def test_first_subresultant_matches_the_determinants_on_random_pairs():
+    rng = random.Random(0x5B1)
+    checked = 0
+    while checked < 80:
+        f, g = random_monic(rng, max_degree=6), random_monic(rng, max_degree=6)
+        if min(f.degree, g.degree) < 2:
+            continue
+        assert_equal_up_to_sign(first_subresultant(f, g), naive_first_subresultant(f, g))
+        checked += 1
+
+
+@pytest.mark.parametrize("g_text", ["x^3+2*x^2-5*x+3", "x^3-7", "x^3+x"])
+def test_first_subresultant_across_a_degree_jump(g_text):
+    # f = x*g + (u*x + v) makes the chain jump from g (degree 3) to u*x + v,
+    # so S_1 = (u/h)^(3 - 2) * (u*x + v) with h = 1, not u*x + v itself.
+    g = MonicIntPoly.parse(g_text)
+    for u in (-3, -2, 2, 5):
+        for v in (-4, 0, 1, 7):
+            f = MonicIntPoly(g.coeffs + (0,)) + IntPoly((u, v))
+            assert_equal_up_to_sign(first_subresultant(f, g), (u * u, u * v))
+            assert_equal_up_to_sign(first_subresultant(f, g), naive_first_subresultant(f, g))
+
+
+@pytest.mark.parametrize(
+    "f_text, g_text, expected",
+    [
+        # from degree 2 straight to a constant, which is S_1 itself
+        ("x^2+6*x-6", "x^3+7*x^2-2", (0, 4)),
+        # g = x*f + 5: from degree 3 straight to a constant, so S_1 = 0
+        ("x^3+2*x+1", "x^4+2*x^2+x+5", (0, 0)),
+    ],
+)
+def test_first_subresultant_when_the_chain_skips_degree_1(f_text, g_text, expected):
+    f, g = MonicIntPoly.parse(f_text), MonicIntPoly.parse(g_text)
+    assert naive_first_subresultant(f, g) == expected
+    assert_equal_up_to_sign(first_subresultant(f, g), expected)
+
+
+@pytest.mark.parametrize(
+    "f_text, g_text, expected",
+    [("x^3+2", "x+5", (1, 5)), ("x+5", "x^3+2", (1, 5)), ("x+1", "x", (1, 0))],
+)
+def test_first_subresultant_of_a_linear_input_is_that_input(f_text, g_text, expected):
+    f, g = MonicIntPoly.parse(f_text), MonicIntPoly.parse(g_text)
+    assert first_subresultant(f, g) == expected
 
 
 def test_resultant_zero_iff_common_factor():

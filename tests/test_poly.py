@@ -82,6 +82,10 @@ def test_parse_grammar_corners(text, coeffs):
         ("x y", 2),
         ("3 @ 4", 2),
         ("x*)", 2),
+        # integer literals are ASCII digits only
+        ("x^\u0663+1", 2),  # ARABIC-INDIC DIGIT THREE
+        ("x^2+\uff11", 4),  # FULLWIDTH DIGIT ONE
+        ("x^\u00b2+1", 2),  # SUPERSCRIPT TWO
     ],
 )
 def test_parse_errors_carry_positions(text, position):
