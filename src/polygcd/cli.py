@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .analysis import (
@@ -272,14 +273,14 @@ def _cmd_snf(args: argparse.Namespace) -> int:
             ) from None
     else:
         text = sys.stdin.read()
-    rows = [
-        [int(tok) for tok in line.split()]
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    rows = [row for row in map(str.split, text.splitlines()) if row]
+    # int() would also read "1_0" and the digits of other scripts.
+    bad = [tok for row in rows for tok in row if not re.fullmatch(r"[+-]?[0-9]+", tok)]
+    if bad:
+        raise InputError(f"invalid literal for int() with base 10: {bad[0]!r}")
     if not rows:
         raise InputError("empty matrix input")
-    matrix = IntMatrix.from_rows(rows)
+    matrix = IntMatrix.from_rows([[int(tok) for tok in row] for row in rows])
     result = smith_normal_form(matrix)
     if args.json:
         doc = {"d": [str(x) for x in result.d]}

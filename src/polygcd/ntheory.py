@@ -21,7 +21,6 @@ from .errors import CapExceeded, FactorizationFailed, InputError
 
 __all__ = [
     "MR_DETERMINISTIC_BOUND",
-    "TRIAL_DIVISION_BOUND",
     "DIVISOR_CAP",
     "Factorization",
     "is_prime",
@@ -36,7 +35,6 @@ __all__ = [
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-TRIAL_DIVISION_BOUND = 10**6
 DIVISOR_CAP = 2**20
 POLLARD_MAX_ATTEMPTS = 20
 POLLARD_SEED = 0
@@ -108,7 +106,7 @@ def _mr_passes(n: int, a: int) -> bool:
 
 
 def _baillie_psw(n: int) -> bool:
-    # n odd, no factor below 1000.
+    # n odd, no factor below 100.
     if not _mr_passes(n, 2):
         return False
     root = math.isqrt(n)
@@ -215,53 +213,35 @@ class Factorization:
 def factor(n: int) -> Factorization:
     """Complete factorization of a nonzero integer.
 
-    Trial division up to TRIAL_DIVISION_BOUND, then Brent's variant of
-    Pollard rho; every reported prime passes is_prime.
+    Trial division by the primes below 1000, then Brent's variant of
+    Pollard rho on the cofactor; every reported prime passes is_prime.
     """
     if n == 0:
         raise InputError("0 has no prime factorization")
-    sign = 1 if n > 0 else -1
     m = abs(n)
     counts: dict[int, int] = {}
-    m = _strip_small_factors(m, counts)
+    for p in _SMALL_PRIMES:
+        if p * p > m:
+            break
+        while m % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            m //= p
     if m > 1:
-        rng = random.Random(POLLARD_SEED)
-        _split_recursively(m, counts, rng)
-    return Factorization(n, sign, tuple(sorted(counts.items())))
+        _split_recursively(m, counts)
+    return Factorization(n, 1 if n > 0 else -1, tuple(sorted(counts.items())))
 
 
-def _strip_small_factors(m: int, counts: dict[int, int]) -> int:
-    if m == 1 or is_prime(m):
-        if m > 1:
-            counts[m] = counts.get(m, 0) + 1
-            return 1
-        return m
-    while m % 2 == 0:
-        counts[2] = counts.get(2, 0) + 1
-        m //= 2
-    d = 3
-    while d <= TRIAL_DIVISION_BOUND and d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                counts[d] = counts.get(d, 0) + 1
-                m //= d
-            if m == 1 or is_prime(m):
-                break
-        d += 2
-    if m > 1 and (d * d > m or is_prime(m)):
+def _split_recursively(m: int, counts: dict[int, int], rng=None) -> None:
+    # m > 1 is prime or has no prime factor below 1000.  rng is made at the
+    # first composite, since seeding it costs more than factoring a small m.
+    if is_prime(m):
         counts[m] = counts.get(m, 0) + 1
-        return 1
-    return m
-
-
-def _split_recursively(m: int, counts: dict[int, int], rng: random.Random) -> None:
-    # m composite with no factors below TRIAL_DIVISION_BOUND.
+        return
+    if rng is None:
+        rng = random.Random(POLLARD_SEED)
     piece = _pollard_brent(m, rng)
-    for part in (piece, m // piece):
-        if is_prime(part):
-            counts[part] = counts.get(part, 0) + 1
-        else:
-            _split_recursively(part, counts, rng)
+    _split_recursively(piece, counts, rng)
+    _split_recursively(m // piece, counts, rng)
 
 
 def _pollard_brent(n: int, rng: random.Random) -> int:

@@ -31,6 +31,11 @@ __all__ = [
 # (x+1)^3000 would expand for minutes before anything else could refuse it.
 MAX_DEGREE = 100
 
+# Largest coefficient bound, in bits: 2^99999999999 has degree 0 but 10^11
+# bits.  It exceeds the 4300 digits (about 14 300 bits) Python prints by
+# default, so every constant the CLI can print can be written as a power.
+MAX_COEFF_BITS = 2**14
+
 
 @dataclass(frozen=True, eq=False)
 class IntPoly:
@@ -248,7 +253,7 @@ class _Parser:
         while self.peek().kind == "*":
             pos = self.advance().pos
             rhs = self.factor()
-            _check_degree(poly.degree + rhs.degree, pos)
+            _check_size(poly.degree + rhs.degree, _log2_l1(poly) + _log2_l1(rhs), 1, pos)
             poly = poly * rhs
         return poly
 
@@ -263,7 +268,7 @@ class _Parser:
                 )
             self.advance()
             exponent = int(tok.text)
-            _check_degree(base.degree * exponent, tok.pos)
+            _check_size(base.degree * exponent, _log2_l1(base), exponent, tok.pos)
             base = base**exponent
         return base
 
@@ -286,12 +291,23 @@ class _Parser:
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
 
 
-def _check_degree(degree: int, pos: int) -> None:
-    # Called before a product or power is expanded, never after.
+def _check_size(degree: int, log2_l1: float, exponent: int, pos: int) -> None:
+    # Called before a product or power is expanded, never after.  The sum L1
+    # of |coefficients| bounds each one and L1(a*b) <= L1(a)*L1(b), so the
+    # result's bound is 2^(exponent*log2_l1); dividing keeps a huge exponent
+    # out of float arithmetic.
     if degree > MAX_DEGREE:
         raise CapExceeded(
             f"degree {degree} at position {pos} exceeds the parser cap {MAX_DEGREE}"
         )
+    if log2_l1 > 0 and exponent > MAX_COEFF_BITS / log2_l1:
+        raise CapExceeded(
+            f"coefficient bound at position {pos} exceeds the parser cap 2^{MAX_COEFF_BITS}"
+        )
+
+
+def _log2_l1(poly: IntPoly) -> float:
+    return math.log2(sum(map(abs, poly.coeffs)) or 1)
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -300,7 +316,8 @@ def parse_poly(text: str) -> IntPoly:
     Accepted syntax: integer literals, ``x``, ``+ - * ^``, parentheses,
     unary minus; ``^`` takes a nonnegative integer literal.  Raises
     ParseError with the offending position on bad input, and CapExceeded
-    before expanding any product or power above degree ``MAX_DEGREE``.
+    before expanding any product or power above degree ``MAX_DEGREE`` or
+    with a coefficient bound above ``2^MAX_COEFF_BITS``.
     """
     parser = _Parser(text)
     if parser.peek().kind == "eof":

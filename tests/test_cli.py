@@ -14,7 +14,7 @@ import polygcd.linalg
 import polygcd.modp
 from polygcd import MonicIntPoly, brute_force_profile
 from polygcd.cli import main
-from polygcd.poly import MAX_DEGREE
+from polygcd.poly import MAX_COEFF_BITS, MAX_DEGREE
 
 P52 = "8936582237915716659950962253358945635793453256935559"
 
@@ -244,6 +244,25 @@ def test_snf_rejects_ragged_matrix(capsys, monkeypatch):
     assert "error" in err
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11"])
+def test_snf_rejects_underscored_and_non_ascii_entries(capsys, monkeypatch, token):
+    import io
+
+    # int() reads these as 10, 3 and 1.
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{token} 2\n3 4\n"))
+    status, out, err = run_cli(capsys, "snf")
+    assert status == 1 and out == ""
+    assert err == f"error: invalid literal for int() with base 10: {token!r}\n"
+
+
+def test_snf_reads_signed_entries(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("-3 +2\n4 5\n"))
+    status, out, _ = run_cli(capsys, "snf")
+    assert status == 0 and out == "d = 1 23\n"
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -300,6 +319,29 @@ def test_exit_2_on_parser_degree_cap_before_expanding(capsys, expr, degree):
     assert status == 2 and out == ""
     assert err.startswith(f"error: degree {degree} ") and err.count("\n") == 1
     assert err.endswith(f"exceeds the parser cap {MAX_DEGREE}\n")
+
+
+@pytest.mark.parametrize(
+    "expr, pos",
+    [
+        ("x+2^99999999999", 4),
+        ("x+3^9999999", 4),
+        ("x+2^16385", 4),
+        ("x+2^" + "9" * 400, 4),
+        ("x+(2^8192)*(2^8193)", 10),
+        ("x+2*2^16384", 3),
+        ("x^2+(x+2^200)^90", 14),
+    ],
+)
+def test_exit_2_on_parser_coefficient_cap_before_expanding(capsys, expr, pos):
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "resultant", "--f", expr, "--g", "x+1")
+    assert time.perf_counter() - start < 1.0
+    assert status == 2 and out == ""
+    assert err == (
+        f"error: coefficient bound at position {pos} exceeds the parser cap"
+        f" 2^{MAX_COEFF_BITS}\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -100,10 +100,35 @@ def test_factor_zero_rejected():
         factor(0)
 
 
+# Inputs whose primes lie between 10^3 and 10^6, so Pollard rho and not
+# trial division has to split them, with their exact factorizations.
+RHO_RANGE_CASES = [
+    (1009 * 1013, ((1009, 1), (1013, 1))),
+    (1009**2 * 1013, ((1009, 2), (1013, 1))),
+    (999983**3, ((999983, 3),)),
+    (1000003 * 1000033 * 1000000007, ((1000003, 1), (1000033, 1), (1000000007, 1))),
+    (M61 * 999983, ((999983, 1), (M61, 1))),
+]
+
+
+def random_three_prime_product(rng):
+    # Three primes in (10^3, 10^6), found by trial division, and the
+    # factorization of their product.
+    primes = []
+    while len(primes) < 3:
+        p = rng.randrange(1001, 10**6)
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            primes.append(p)
+    counts = {p: primes.count(p) for p in sorted(primes)}
+    return math.prod(primes), tuple(counts.items())
+
+
 def test_factor_remultiplies_to_identity_on_randoms():
     rng = random.Random(7)
     values = [rng.randint(2, 10**9) * rng.choice((1, -1)) for _ in range(200)]
     values += [1, -1, 2**40, -(3**25), 600851475143]
+    values += [n for n, _ in RHO_RANGE_CASES]
+    values += [random_three_prime_product(rng)[0] for _ in range(20)]
     for n in values:
         fact = factor(n)
         product = fact.sign * math.prod(p**e for p, e in fact.factors)
@@ -116,6 +141,13 @@ def test_factor_large_semiprime_via_pollard():
     p, q = 10**9 + 7, 10**9 + 9
     assert factor(p * q).factors == ((p, 1), (q, 1))
     assert factor(M61 * (2**31 - 1)).factors == ((2**31 - 1, 1), (M61, 1))
+    for n, expected in RHO_RANGE_CASES:
+        assert factor(n).factors == expected, n
+        assert factor(-n).factors == expected, -n
+    rng = random.Random(11)
+    for _ in range(5):
+        n, expected = random_three_prime_product(rng)
+        assert factor(n).factors == expected, n
 
 
 def test_factor_is_deterministic_across_runs():

@@ -5,7 +5,7 @@ from hypothesis import example, given, strategies as st
 
 from polygcd import IntPoly, MonicIntPoly, gcd_over_Z, parse_poly
 from polygcd.errors import InputError, ParseError
-from polygcd.poly import MAX_DEGREE
+from polygcd.poly import MAX_COEFF_BITS, MAX_DEGREE
 
 from support import (
     naive_gcd_over_Q,
@@ -30,6 +30,21 @@ def test_parse_up_to_the_degree_cap():
     assert parse_poly("x^100").degree == 100
     assert parse_poly("(x^10)^10").degree == 100
     assert parse_poly("x^50*x^50 - x^100").coeffs == ()
+
+
+def test_parse_up_to_the_coefficient_cap():
+    # Every constant Python prints by default (at most 4300 digits) can be
+    # written as a power or a product below the cap.
+    assert MAX_COEFF_BITS >= (10**4300 - 1).bit_length()
+    assert parse_poly("10^4299").coeffs == (10**4299,)
+    assert parse_poly("3^9000").coeffs == (3**9000,)
+    assert parse_poly(f"2^{MAX_COEFF_BITS}").coeffs == (2**MAX_COEFF_BITS,)
+    assert parse_poly("(2^8192)*(2^8192)").coeffs == (2**MAX_COEFF_BITS,)
+    # Bases whose coefficients sum to at most 1 in absolute value never grow.
+    assert parse_poly("x+1^99999999999").coeffs == (1, 1)
+    assert parse_poly("x+(-1)^99999999999").coeffs == (1, -1)
+    assert parse_poly("x+0^99999999999").coeffs == (1, 0)
+    assert parse_poly("x + (2^16000 - 2^16000 + 1)^99999999999").coeffs == (1, 1)
 
 
 def test_parse_shifted_quadratic_expands():
