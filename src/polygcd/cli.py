@@ -258,7 +258,14 @@ def _report_not_squarefree(
 def _cmd_resultant(args: argparse.Namespace) -> int:
     f = _monic(args.f)
     g = _monic(args.g)
-    print(resultant(f, g, verify=args.verify))
+    value = resultant(f, g, verify=args.verify)
+    try:
+        print(value)
+    except ValueError:
+        raise CapExceeded(
+            f"the resultant has more than {sys.get_int_max_str_digits()} digits,"
+            " the interpreter's limit for printing an integer"
+        ) from None
     return 0
 
 

@@ -12,6 +12,7 @@ the atlas reads its generator.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -70,14 +71,10 @@ class IntMatrix:
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise InputError("matrix shapes do not allow multiplication")
-        a, b = self.to_rows(), other.to_rows()
-        cols = other.cols
-        out = []
-        for row in a:
-            out.append(
-                [sum(row[k] * b[k][j] for k in range(self.cols)) for j in range(cols)]
-            )
-        return IntMatrix.from_rows(out)
+        cols = list(zip(*other.to_rows()))
+        return IntMatrix.from_rows(
+            [[sum(map(operator.mul, row, col)) for col in cols] for row in self.to_rows()]
+        )
 
     def __str__(self) -> str:
         rows = self.to_rows()
@@ -102,42 +99,57 @@ def sylvester_matrix(f: IntPoly, g: IntPoly) -> IntMatrix:
 def det_bareiss(matrix: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
-    Pivots are the first nonzero entry down the current column; a fully zero
-    column is swapped with a later nonzero one (sign flip), after which the
-    elimination runs to completion and yields 0.
+    Pivots are the first nonzero entry down the current column; when there
+    is none, that column lies in the span of the earlier ones and the
+    determinant is 0.  A step with pivot pk only scales a row whose
+    pivot-column entry is 0, by pk/prev: such a row keeps the pivot it was
+    last brought up to date at (its base) and is rescaled by prev/base when
+    it next becomes the pivot row or is eliminated.  When pk == prev a step
+    changes a row only where the pivot row is nonzero, as in the monic f
+    block of a Sylvester matrix.  Every division checks its remainder.
     """
     if matrix.rows != matrix.cols:
         raise InputError("determinant needs a square matrix")
     n = matrix.rows
     a = matrix.to_rows()
+    base = [1] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
         pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
         if pivot_row is None:
-            pivot_col = next(
-                (j for j in range(k + 1, n) if any(a[i][j] for i in range(k, n))),
-                None,
-            )
-            if pivot_col is None:
-                return 0
-            for row in a:
-                row[k], row[pivot_col] = row[pivot_col], row[k]
-            sign = -sign
-            pivot_row = next(i for i in range(k, n) if a[i][k] != 0)
+            return 0
         if pivot_row != k:
             a[k], a[pivot_row] = a[pivot_row], a[k]
+            base[k], base[pivot_row] = base[pivot_row], base[k]
             sign = -sign
-        pk = a[k][k]
-        row_k = a[k]
+        row_k = _rescale(a, base, k, k, prev)
+        pk = row_k[k]
+        nonzero = [j for j in range(k + 1, n) if row_k[j]]
         for i in range(k + 1, n):
-            row_i = a[i]
+            if a[i][k] == 0:
+                continue
+            row_i = _rescale(a, base, i, k, prev)
             aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = _exact_div(row_i[j] * pk - aik * row_k[j], prev)
+            if pk == prev:
+                for j in nonzero:
+                    row_i[j] = _exact_div(row_i[j] * pk - aik * row_k[j], prev)
+            else:
+                row_i[k + 1 :] = _exact_quotients(
+                    (x * pk - aik * y for x, y in zip(row_i[k + 1 :], row_k[k + 1 :])), prev
+                )
             row_i[k] = 0
+            base[i] = pk
         prev = pk
-    return sign * a[n - 1][n - 1]
+    return sign * _rescale(a, base, n - 1, n - 1, prev)[n - 1]
+
+
+def _rescale(a: list[list[int]], base: list[int], i: int, k: int, prev: int) -> list[int]:
+    # Bring row i, whose columns before k are 0, from pivot base[i] to prev.
+    if base[i] != prev:
+        a[i][k:] = _exact_quotients((x * prev for x in a[i][k:]), base[i])
+        base[i] = prev
+    return a[i]
 
 
 def resultant(f: IntPoly, g: IntPoly, *, verify: bool = False) -> int:
@@ -201,6 +213,13 @@ def _subresultant_resultant(a: list[int], b: list[int]) -> tuple[int, tuple[int,
         if delta > 0:
             h = _exact_div(g**delta, h ** (delta - 1))
     return s * t * _exact_div(b[0] ** deg_a, h ** (deg_a - 1)), (s1, s0)
+
+
+def _exact_quotients(numerators: Iterable[int], denominator: int) -> list[int]:
+    quotients, remainders = zip(*[divmod(x, denominator) for x in numerators])
+    if any(remainders):
+        raise InvariantBreach(f"inexact division by {denominator} in an exact algorithm")
+    return list(quotients)
 
 
 def _exact_div(numerator: int, denominator: int) -> int:

@@ -261,7 +261,7 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r <<= 1
@@ -269,7 +269,7 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g
     raise FactorizationFailed(

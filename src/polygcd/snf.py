@@ -2,9 +2,11 @@
 
 smith_normal_form(M) produces invariant factors d_1 | d_2 | ... (all
 nonnegative) together with square unimodular U, V such that U*M*V is the
-diagonal matrix of the d_i.  The reconstruction identity and |det U| =
-|det V| = 1 are re-verified on every call before the result is returned;
-a failure raises InvariantBreach since it can only mean a bug.
+diagonal matrix of the d_i.  Every call re-verifies U*M*V = diag(d) entry
+by entry and |det U| = |det V| = 1 before the result is returned: for a
+square M with every d_i != 0 from prod(d) = |det M| (then det U * det V
+= +-1), otherwise from the Bareiss determinants of U and V.  A failure
+raises InvariantBreach since it can only mean a bug.
 
 The algorithm is classic elimination to a diagonal using gcd row/column
 combinations, followed by a divisibility-fixing pass that replaces each
@@ -12,6 +14,7 @@ offending diagonal pair (a, b) by (gcd, lcm) via unimodular moves.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvariantBreach
@@ -172,5 +175,11 @@ def _verify(matrix: IntMatrix, result: SnfResult) -> None:
             raise InvariantBreach(f"invariant factor chain broken: {da} does not divide {db}")
     if any(x < 0 for x in result.d):
         raise InvariantBreach("invariant factors must be nonnegative")
-    if abs(det_bareiss(result.U)) != 1 or abs(det_bareiss(result.V)) != 1:
+    # det U * det M * det V = prod(d), so when M is square and nonsingular,
+    # |det M| = prod(d) forces the integers det U and det V to be +-1.
+    if matrix.rows == matrix.cols and all(result.d):
+        unimodular = math.prod(result.d) == abs(det_bareiss(matrix))
+    else:
+        unimodular = abs(det_bareiss(result.U)) == 1 == abs(det_bareiss(result.V))
+    if not unimodular:
         raise InvariantBreach("transform determinant is not +-1")

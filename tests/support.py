@@ -42,6 +42,27 @@ def naive_det(rows: list[list[int]]) -> int:
     return total
 
 
+def fraction_det(rows: list[list[int]]) -> int:
+    """Determinant by Gaussian elimination over Q; any size, no exactness tricks."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            ratio = a[i][k] / a[k][k]
+            if ratio:
+                a[i] = [x - ratio * y for x, y in zip(a[i], a[k])]
+    assert det.denominator == 1
+    return int(det)
+
+
 def naive_first_subresultant(f: IntPoly, g: IntPoly) -> tuple[int, int]:
     """(s1, s0) with S_1 = s1*x + s0, from the defining determinants.
 

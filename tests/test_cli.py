@@ -174,6 +174,20 @@ def test_resultant_stress_pair(capsys):
     assert out.strip() == P52
 
 
+@pytest.mark.parametrize("verify", [(), ("--verify",)])
+def test_resultant_too_long_to_print_exits_2(capsys, verify):
+    # r = (2^8000 - 3)^2 has 4817 digits, past the interpreter's 4300-digit
+    # limit for int-to-str conversion.
+    status, out, err = run_cli(
+        capsys, "resultant", "--f", "x^2+2^8000", "--g", "x^2+3", *verify
+    )
+    assert status == 2 and out == ""
+    assert err == (
+        f"error: the resultant has more than {sys.get_int_max_str_digits()}"
+        " digits, the interpreter's limit for printing an integer\n"
+    )
+
+
 def test_brute_force_json(capsys):
     status, out, _ = run_cli(
         capsys, "brute-force", "--f", "x^2-1", "--g", "x^2+1", "--json"

@@ -17,7 +17,13 @@ from polygcd import (
 import polygcd.linalg
 from polygcd.errors import InputError, InvariantBreach
 
-from support import naive_det, naive_first_subresultant, random_monic, solve_mod_p
+from support import (
+    fraction_det,
+    naive_det,
+    naive_first_subresultant,
+    random_monic,
+    solve_mod_p,
+)
 
 P52 = 8936582237915716659950962253358945635793453256935559
 
@@ -132,6 +138,105 @@ def test_det_handles_zero_columns_and_singular_matrices():
 )
 def test_det_matches_cofactor_expansion(rows):
     assert det_bareiss(IntMatrix.from_rows(rows)) == naive_det(rows)
+
+
+# Mostly zeros and units, so that rows skip pivots and unit pivots chain.
+@settings(max_examples=150)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_det_matches_fraction_elimination_on_sparse_matrices(rows):
+    assert det_bareiss(IntMatrix.from_rows(rows)) == fraction_det(rows)
+
+
+def _banded(rng, n):
+    width = rng.randint(0, 3)
+    return [
+        [rng.randint(-9, 9) if abs(i - j) <= width else 0 for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _sylvester_like(rng, n):
+    # Leading coefficients other than 1 give pivots pk != prev between the
+    # zero-padded rows; a leading 1 gives a chain of unit pivots.
+    k = rng.randint(1, n - 1)
+    f, g = (
+        IntPoly((rng.choice([1, 1, -1, 2, 3]), *(rng.randint(-5, 5) for _ in range(d))))
+        for d in (k, n - k)
+    )
+    return sylvester_matrix(f, g).to_rows()
+
+
+def _unit_chain(rng, n):
+    # Sparse rows with a unit on the diagonal, then dense rows, rows shuffled.
+    units = rng.randint(1, n)
+    rows = [
+        [rng.choice([1, -1]) if j == i else rng.choice([0, 0, 0, rng.randint(-9, 9)]) for j in range(n)]
+        for i in range(units)
+    ]
+    rows += [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - units)]
+    rng.shuffle(rows)
+    return rows
+
+
+def _zero_leading_columns(rng, n):
+    # A zero column, or a column equal to an earlier one, leaves a pivot
+    # column with no nonzero entry on or below the diagonal.
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    j = rng.randrange(n)
+    source = rng.randrange(j) if j and rng.random() < 0.5 else None
+    for row in rows:
+        row[j] = 0 if source is None else row[source]
+    return rows
+
+
+def _row_swaps(rng, n):
+    # A triangular matrix with a nonzero diagonal, rows permuted.
+    rows = [
+        [rng.choice([-3, -2, 2, 5]) if j == i else rng.randint(-9, 9) * (j > i) for j in range(n)]
+        for i in range(n)
+    ]
+    rng.shuffle(rows)
+    return rows
+
+
+def _singular(rng, n):
+    # Row t is a combination of two other rows (or of one, twice).
+    rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+    t = rng.randrange(n)
+    i, j = (rng.choice([x for x in range(n) if x != t]) for _ in range(2))
+    rows[t] = [2 * x - 3 * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_banded, _sylvester_like, _unit_chain, _zero_leading_columns, _row_swaps, _singular],
+)
+def test_det_matches_fraction_elimination_on_structured_matrices(build):
+    rng = random.Random(build.__name__)
+    for _ in range(150):
+        rows = build(rng, rng.randint(2, 12))
+        expected = fraction_det(rows)
+        assert det_bareiss(IntMatrix.from_rows(rows)) == expected, rows
+        if build in (_zero_leading_columns, _singular):
+            assert expected == 0
+        if build is _row_swaps:
+            assert expected != 0
+
+
+@pytest.mark.parametrize("k, a", [(10, 7), (20, -3), (30, 5), (40, 9), (50, -58)])
+def test_det_of_the_stress_family_sylvester_matrix_is_the_prs_resultant(k, a):
+    f = MonicIntPoly.parse(f"x^{k}+{a}")
+    g = MonicIntPoly.parse(f"(x+1)^{k}+{a}")
+    assert det_bareiss(sylvester_matrix(f, g)) == resultant_prs(f, g) != 0
 
 
 # ---------------------------------------------------------------------------

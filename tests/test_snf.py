@@ -1,15 +1,27 @@
 import math
 import random
 
+import pytest
+
+import polygcd.snf
 from polygcd import (
     IntMatrix,
     MonicIntPoly,
+    SnfResult,
     det_bareiss,
+    resultant_prs,
     smith_normal_form,
     sylvester_matrix,
 )
+from polygcd.errors import InvariantBreach
 
-from support import invariant_factors, minor_gcd_products, random_matrix, rank_mod_p
+from support import (
+    fraction_det,
+    invariant_factors,
+    minor_gcd_products,
+    random_matrix,
+    rank_mod_p,
+)
 
 
 def assert_snf_contract(matrix, result):
@@ -28,8 +40,8 @@ def assert_snf_contract(matrix, result):
             assert b % a == 0
     assert all(x >= 0 for x in result.d)
     # unimodular transforms
-    assert abs(det_bareiss(result.U)) == 1
-    assert abs(det_bareiss(result.V)) == 1
+    assert abs(fraction_det(result.U.to_rows())) == 1
+    assert abs(fraction_det(result.V.to_rows())) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +103,69 @@ def test_smith_needs_divisibility_fix():
     result = smith_normal_form(m)
     assert result.d == (1, 2, 30)
     assert_snf_contract(m, result)
+
+
+# ---------------------------------------------------------------------------
+# The self-check: |det U| = |det V| = 1 from det M, or from U and V
+# ---------------------------------------------------------------------------
+
+
+def _diag(*entries):
+    n = len(entries)
+    return IntMatrix.from_rows([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+# Each result reconstructs diag(d) and has a valid chain, but U or V has
+# determinant 2.
+NOT_UNIMODULAR = {
+    "square, det M": (_diag(1, 1), SnfResult((1, 2), _diag(1, 2), _diag(1, 1))),
+    "square, det M, bad V": (_diag(1, 1), SnfResult((1, 2), _diag(1, 1), _diag(1, 2))),
+    "singular": (_diag(1, 0), SnfResult((1, 0), _diag(1, 2), _diag(1, 1))),
+    "rectangular": (
+        IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]),
+        SnfResult((1, 1), _diag(1, 1), _diag(1, 1, 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NOT_UNIMODULAR)
+def test_verify_rejects_a_transform_of_determinant_2(case):
+    matrix, result = NOT_UNIMODULAR[case]
+    product = result.U @ matrix @ result.V
+    assert product.to_rows() == [
+        [result.d[i] if i == j else 0 for j in range(product.cols)]
+        for i in range(product.rows)
+    ]
+    with pytest.raises(InvariantBreach, match="transform determinant is not"):
+        polygcd.snf._verify(matrix, result)
+
+
+@pytest.mark.parametrize(
+    "rows, determinants_of",
+    [
+        ([[2, 1], [4, 7]], "M"),
+        ([[2, 4], [1, 2]], "U, V"),
+        ([[2, 4, 6], [1, 0, 3]], "U, V"),
+    ],
+    ids=["square", "singular", "rectangular"],
+)
+def test_verify_takes_det_m_only_when_m_is_square_and_nonsingular(monkeypatch, rows, determinants_of):
+    matrix = IntMatrix.from_rows(rows)
+    seen = []
+    det = polygcd.snf.det_bareiss
+    monkeypatch.setattr(polygcd.snf, "det_bareiss", lambda m: seen.append(m) or det(m))
+    result = smith_normal_form(matrix)
+    names = {id(matrix): "M", id(result.U): "U", id(result.V): "V"}
+    assert ", ".join(names[id(m)] for m in seen) == determinants_of
+
+
+@pytest.mark.parametrize("a", [5, -7])
+def test_snf_of_a_34x34_sylvester_matrix_with_a_2_mod_3(a):
+    # These inputs give U and V entries of 20 000 to 65 000 bits.
+    f = MonicIntPoly.parse(f"x^17+{a}")
+    g = MonicIntPoly.parse(f"(x+1)^17+{a}")
+    result = smith_normal_form(sylvester_matrix(f, g))
+    assert math.prod(result.d) == abs(resultant_prs(f, g)) != 0
 
 
 # ---------------------------------------------------------------------------
