@@ -28,11 +28,11 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import CapExceeded, CriterionInapplicable, InputError, InvariantBreach
+from .errors import CriterionInapplicable, InputError, InvariantBreach
 from .linalg import _subresultant_resultant, resultant
 from .modp import common_root_mod_p
 from .ntheory import DIVISOR_CAP, Factorization, divisors, factor, is_squarefree, crt
-from .oracle import BRUTE_FORCE_CAP, BruteForceProfile, brute_force_profile
+from .oracle import BRUTE_FORCE_CAP, BruteForceProfile, _check_period_cap, brute_force_profile
 from .poly import IntPoly, MonicIntPoly, gcd_over_Z
 
 __all__ = [
@@ -383,9 +383,7 @@ def minimal_period(
     r = resultant(f, g)
     if r == 0:
         raise InputError("resultant is zero: no finite period exists in general")
-    modulus = abs(r)
-    if modulus > cap:
-        raise CapExceeded(f"period {modulus} exceeds the brute-force cap {cap}")
+    _check_period_cap(abs(r), cap)
     return _gcd_profile(f, g, factor(r)).period
 
 

@@ -1,6 +1,9 @@
 """Command-line front end.
 
 Subcommands: analyze, resultant, snf, brute-force, witness, period.
+Each call builds the whole parser tree, but only the subcommand that argv
+selects gets its arguments; argparse adds them when it dispatches to that
+subparser, so help, usage and error text are argparse's own.
 Human-readable tables go to stdout by default; ``--json`` switches to a
 canonical JSON document (sorted keys, all integers as decimal strings, so
 arbitrary precision survives).  Errors go to stderr.
@@ -11,6 +14,8 @@ invariant breach (a bug, reported loudly).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import re
 import sys
@@ -51,6 +56,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _Subcommand(_ArgumentParser):
+    # argparse reaches a subparser's help, usage and errors only through its
+    # own parse_known_args, so the arguments are added there: the one
+    # subcommand argv selects gets them, the others keep only their -h.
+    def __init__(self, *, add_arguments, **kwargs):
+        super().__init__(**kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            self._add_arguments(self)
+            self._add_arguments = None
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="polygcd",
@@ -60,44 +80,44 @@ def _build_parser() -> argparse.ArgumentParser:
             " realizing each divisor as gcd(f(n), g(n))."
         ),
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
+    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
+    return parser
 
-    def add_pair(p):
-        p.add_argument("--f", required=True, metavar="EXPR", help="first monic polynomial, e.g. 'x^2+3'")
-        p.add_argument("--g", required=True, metavar="EXPR", help="second monic polynomial")
 
-    def add_common(p):
-        p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        p.add_argument("--cap-brute", type=int, default=BRUTE_FORCE_CAP, metavar="N")
+def _pair_args(p):
+    p.add_argument("--f", required=True, metavar="EXPR", help="first monic polynomial, e.g. 'x^2+3'")
+    p.add_argument("--g", required=True, metavar="EXPR", help="second monic polynomial")
 
-    p = sub.add_parser("analyze", help="full divisor-to-residue report")
-    add_pair(p)
-    add_common(p)
+
+def _brute_force_args(p):
+    _pair_args(p)
+    p.add_argument("--json", action="store_true", help="emit canonical JSON")
+    p.add_argument("--cap-brute", type=int, default=BRUTE_FORCE_CAP, metavar="N")
+
+
+def _analyze_args(p):
+    _brute_force_args(p)
     p.add_argument("--cap-residues", type=int, default=RESIDUE_LISTING_CAP, metavar="N")
     p.add_argument("--cap-divisors", type=int, default=DIVISOR_CAP, metavar="N")
     p.add_argument("--verify", action="store_true", help="cross-check against the Bareiss determinant, gcds mod p and brute force")
 
-    p = sub.add_parser("resultant", help="print the signed resultant")
-    add_pair(p)
+
+def _resultant_args(p):
+    _pair_args(p)
     p.add_argument("--verify", action="store_true", help="cross-check against the Bareiss determinant of the Sylvester matrix")
 
-    p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
+
+def _snf_args(p):
     p.add_argument("--matrix", metavar="FILE", help="whitespace-separated rows; stdin when omitted")
     p.add_argument("--transforms", action="store_true", help="also print U and V")
     p.add_argument("--json", action="store_true", help="emit canonical JSON")
 
-    p = sub.add_parser("brute-force", help="tabulate gcd(f(n), g(n)) over one period")
-    add_pair(p)
-    add_common(p)
 
-    p = sub.add_parser("witness", help="find n with gcd(f(n), g(n)) = 1 via the p^p criterion")
-    add_pair(p)
-
-    p = sub.add_parser("period", help="smallest positive period of gcd(f(n), g(n))")
-    add_pair(p)
+def _period_args(p):
+    _pair_args(p)
     p.add_argument("--cap-brute", type=int, default=BRUTE_FORCE_CAP, metavar="N")
-
-    return parser
 
 
 def _monic(text: str) -> MonicIntPoly:
@@ -109,6 +129,23 @@ def _monic(text: str) -> MonicIntPoly:
             f"{text!r} is not monic: leading coefficient is {poly.leading}, expected 1"
         )
     return MonicIntPoly(poly.coeffs)
+
+
+@contextlib.contextmanager
+def _printed(subject: str):
+    # Write what the block prints only once all of it has rendered: an
+    # integer longer than the interpreter prints raises ValueError, and that
+    # exits 2 with an empty stdout, as a cap does.
+    buffer = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buffer):
+            yield
+    except ValueError:
+        raise CapExceeded(
+            f"{subject} has more than {sys.get_int_max_str_digits()} digits,"
+            " the interpreter's limit for printing an integer"
+        ) from None
+    sys.stdout.write(buffer.getvalue())
 
 
 def _dump_json(obj) -> str:
@@ -145,12 +182,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         divisor_cap=args.cap_divisors,
         verify=args.verify,
     )
-    if isinstance(outcome, GcdAtlas):
-        _report_atlas(outcome, args)
-    elif isinstance(outcome, ZeroResultant):
-        _report_zero(f, g, outcome, args)
-    else:
-        _report_not_squarefree(f, g, outcome, args)
+    with _printed("an integer in the answer"):
+        if isinstance(outcome, GcdAtlas):
+            _report_atlas(outcome, args)
+        elif isinstance(outcome, ZeroResultant):
+            _report_zero(f, g, outcome, args)
+        else:
+            _report_not_squarefree(f, g, outcome, args)
     return 0
 
 
@@ -259,13 +297,8 @@ def _cmd_resultant(args: argparse.Namespace) -> int:
     f = _monic(args.f)
     g = _monic(args.g)
     value = resultant(f, g, verify=args.verify)
-    try:
+    with _printed("the resultant"):
         print(value)
-    except ValueError:
-        raise CapExceeded(
-            f"the resultant has more than {sys.get_int_max_str_digits()} digits,"
-            " the interpreter's limit for printing an integer"
-        ) from None
     return 0
 
 
@@ -289,19 +322,20 @@ def _cmd_snf(args: argparse.Namespace) -> int:
         raise InputError("empty matrix input")
     matrix = IntMatrix.from_rows([[int(tok) for tok in row] for row in rows])
     result = smith_normal_form(matrix)
-    if args.json:
-        doc = {"d": [str(x) for x in result.d]}
+    with _printed("an integer in the answer"):
+        if args.json:
+            doc = {"d": [str(x) for x in result.d]}
+            if args.transforms:
+                doc["U"] = [[str(v) for v in row] for row in result.U.to_rows()]
+                doc["V"] = [[str(v) for v in row] for row in result.V.to_rows()]
+            print(_dump_json(doc))
+            return 0
+        print("d =", " ".join(str(x) for x in result.d))
         if args.transforms:
-            doc["U"] = [[str(v) for v in row] for row in result.U.to_rows()]
-            doc["V"] = [[str(v) for v in row] for row in result.V.to_rows()]
-        print(_dump_json(doc))
-        return 0
-    print("d =", " ".join(str(x) for x in result.d))
-    if args.transforms:
-        print("U =")
-        print(result.U)
-        print("V =")
-        print(result.V)
+            print("U =")
+            print(result.U)
+            print("V =")
+            print(result.V)
     return 0
 
 
@@ -343,13 +377,14 @@ def _cmd_period(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "resultant": _cmd_resultant,
-    "snf": _cmd_snf,
-    "brute-force": _cmd_brute_force,
-    "witness": _cmd_witness,
-    "period": _cmd_period,
+# name -> (help, add-arguments function, handler), in the order -h lists them.
+_SUBCOMMANDS = {
+    "analyze": ("full divisor-to-residue report", _analyze_args, _cmd_analyze),
+    "resultant": ("print the signed resultant", _resultant_args, _cmd_resultant),
+    "snf": ("Smith normal form of an integer matrix", _snf_args, _cmd_snf),
+    "brute-force": ("tabulate gcd(f(n), g(n)) over one period", _brute_force_args, _cmd_brute_force),
+    "witness": ("find n with gcd(f(n), g(n)) = 1 via the p^p criterion", _pair_args, _cmd_witness),
+    "period": ("smallest positive period of gcd(f(n), g(n))", _period_args, _cmd_period),
 }
 
 
@@ -362,7 +397,8 @@ def main(argv=None) -> int:
             cap = getattr(args, name, 1)
             if cap < 1:
                 raise InputError(f"caps must be positive, got {cap}")
-        return _HANDLERS[args.subcommand](args)
+        _, _, handler = _SUBCOMMANDS[args.subcommand]
+        return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,6 @@
+import argparse
 import ast
+import io
 import json
 import os
 import subprocess
@@ -460,10 +462,10 @@ def test_cap_residues_flag_truncates(capsys):
 def test_exit_3_on_invariant_breach(capsys, monkeypatch):
     from polygcd.errors import InvariantBreach
 
-    def broken(args):
+    def broken(f, g, cap):
         raise InvariantBreach("forced for the exit-code test")
 
-    monkeypatch.setitem(polygcd.cli._HANDLERS, "period", broken)
+    monkeypatch.setattr(polygcd.cli, "minimal_period", broken)
     status, out, err = run_cli(capsys, "period", "--f", "x", "--g", "x+1")
     assert status == 3 and out == ""
     assert err == "INTERNAL INVARIANT BREACH (this is a bug): forced for the exit-code test\n"
@@ -560,3 +562,196 @@ def test_cli_imports_no_private_names_from_the_package():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+# ---------------------------------------------------------------------------
+# integers too long to print
+# ---------------------------------------------------------------------------
+
+LIMIT = sys.get_int_max_str_digits()
+TOO_LONG = (
+    f"error: an integer in the answer has more than {LIMIT} digits,"
+    " the interpreter's limit for printing an integer\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--f", "x+2^16000", "--g", "x"],
+        ["analyze", "--f", "x+2^16000", "--g", "x", "--json"],
+        # f and g print; r = 2^16000 does not, so nothing of the report may
+        # reach stdout
+        ["analyze", "--f", "x^16", "--g", "x+2^1000"],
+    ],
+)
+def test_analyze_answer_too_long_to_print_exits_2(capsys, argv):
+    assert run_cli(capsys, *argv) == (2, "", TOO_LONG)
+
+
+@pytest.mark.parametrize("command", ["period", "brute-force"])
+def test_period_cap_message_too_long_to_print_exits_2(capsys, command):
+    status, out, err = run_cli(capsys, command, "--f", "x+2^16000", "--g", "x+1")
+    assert (status, out) == (2, "")
+    assert err == (
+        f"error: period of more than {LIMIT} digits exceeds the brute-force cap 1000000\n"
+    )
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",), ("--transforms",)])
+def test_snf_answer_too_long_to_print_exits_2(capsys, monkeypatch, flags):
+    # d_2 = 10^4000 * (10^4000 + 1) has 8001 digits.
+    big = 10**4000
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{big} 0\n0 {big + 1}\n"))
+    assert run_cli(capsys, "snf", *flags) == (2, "", TOO_LONG)
+
+
+def test_integers_at_the_print_limit_still_print(capsys, monkeypatch):
+    longest = 10**LIMIT - 1
+    assert run_cli(capsys, "resultant", "--f", "x", "--g", f"x+{longest}") == (
+        0,
+        f"{longest}\n",
+        "",
+    )
+    assert run_cli(capsys, "period", "--f", f"x+{longest}", "--g", "x") == (
+        2,
+        "",
+        f"error: period {longest} exceeds the brute-force cap 1000000\n",
+    )
+    big = 10**2000
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{big} 0\n0 {big + 1}\n"))
+    assert run_cli(capsys, "snf") == (0, f"d = 1 {big * (big + 1)}\n", "")
+
+
+# ---------------------------------------------------------------------------
+# the argparse surface
+# ---------------------------------------------------------------------------
+
+SUBCOMMANDS = ["analyze", "resultant", "snf", "brute-force", "witness", "period"]
+TOP_USAGE = "usage: polygcd [-h] {analyze,resultant,snf,brute-force,witness,period} ...\n"
+ANALYZE_USAGE = """\
+usage: polygcd analyze [-h] --f EXPR --g EXPR [--json] [--cap-brute N]
+                       [--cap-residues N] [--cap-divisors N] [--verify]
+"""
+PERIOD_USAGE = "usage: polygcd period [-h] --f EXPR --g EXPR [--cap-brute N]\n"
+
+# (argv, exit code, stdout, stderr) at COLUMNS=80: every byte of help,
+# usage and error text is argparse's own.
+CLI_SURFACE = [
+    (["-h"], 0, TOP_USAGE + """
+Resultants of monic integer polynomials and the complete map from divisors of
+a square-free resultant to the residues n realizing each divisor as gcd(f(n),
+g(n)).
+
+positional arguments:
+  {analyze,resultant,snf,brute-force,witness,period}
+    analyze             full divisor-to-residue report
+    resultant           print the signed resultant
+    snf                 Smith normal form of an integer matrix
+    brute-force         tabulate gcd(f(n), g(n)) over one period
+    witness             find n with gcd(f(n), g(n)) = 1 via the p^p criterion
+    period              smallest positive period of gcd(f(n), g(n))
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["analyze", "-h"], 0, ANALYZE_USAGE + """
+options:
+  -h, --help        show this help message and exit
+  --f EXPR          first monic polynomial, e.g. 'x^2+3'
+  --g EXPR          second monic polynomial
+  --json            emit canonical JSON
+  --cap-brute N
+  --cap-residues N
+  --cap-divisors N
+  --verify          cross-check against the Bareiss determinant, gcds mod p
+                    and brute force
+""", ""),
+    (["resultant", "-h"], 0, """\
+usage: polygcd resultant [-h] --f EXPR --g EXPR [--verify]
+
+options:
+  -h, --help  show this help message and exit
+  --f EXPR    first monic polynomial, e.g. 'x^2+3'
+  --g EXPR    second monic polynomial
+  --verify    cross-check against the Bareiss determinant of the Sylvester
+              matrix
+""", ""),
+    (["snf", "-h"], 0, """\
+usage: polygcd snf [-h] [--matrix FILE] [--transforms] [--json]
+
+options:
+  -h, --help     show this help message and exit
+  --matrix FILE  whitespace-separated rows; stdin when omitted
+  --transforms   also print U and V
+  --json         emit canonical JSON
+""", ""),
+    (["brute-force", "-h"], 0, """\
+usage: polygcd brute-force [-h] --f EXPR --g EXPR [--json] [--cap-brute N]
+
+options:
+  -h, --help     show this help message and exit
+  --f EXPR       first monic polynomial, e.g. 'x^2+3'
+  --g EXPR       second monic polynomial
+  --json         emit canonical JSON
+  --cap-brute N
+""", ""),
+    (["witness", "-h"], 0, """\
+usage: polygcd witness [-h] --f EXPR --g EXPR
+
+options:
+  -h, --help  show this help message and exit
+  --f EXPR    first monic polynomial, e.g. 'x^2+3'
+  --g EXPR    second monic polynomial
+""", ""),
+    (["period", "-h"], 0, PERIOD_USAGE + """
+options:
+  -h, --help     show this help message and exit
+  --f EXPR       first monic polynomial, e.g. 'x^2+3'
+  --g EXPR       second monic polynomial
+  --cap-brute N
+""", ""),
+    ([], 1, "", TOP_USAGE + "polygcd: error: the following arguments are required: subcommand\n"),
+    (["foo"], 1, "", TOP_USAGE + (
+        "polygcd: error: argument subcommand: invalid choice: 'foo' (choose from"
+        " 'analyze', 'resultant', 'snf', 'brute-force', 'witness', 'period')\n"
+    )),
+    (["analyze", "--f", "x"], 1, "", ANALYZE_USAGE + (
+        "polygcd analyze: error: the following arguments are required: --g\n"
+    )),
+    (["witness", "--f", "x", "--g", "x+1", "extra"], 1, "", TOP_USAGE + (
+        "polygcd: error: unrecognized arguments: extra\n"
+    )),
+    (["period", "--f", "x", "--g", "x+1", "--cap-brute", "abc"], 1, "", PERIOD_USAGE + (
+        "polygcd period: error: argument --cap-brute: invalid int value: 'abc'\n"
+    )),
+    (["brute-force", "--f", "x", "--g", "x+1", "--cap-residues", "3"], 1, "", TOP_USAGE + (
+        "polygcd: error: unrecognized arguments: --cap-residues 3\n"
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, status, out, err", CLI_SURFACE, ids=[" ".join(c[0]) or "none" for c in CLI_SURFACE]
+)
+def test_cli_surface_is_pinned(capsys, monkeypatch, argv, status, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == status
+    assert capsys.readouterr() == (out, err)
+
+
+def test_only_the_dispatched_subcommand_gets_its_arguments():
+    parser = polygcd.cli._build_parser()
+    parser.parse_args(["witness", "--f", "x", "--g", "x+1"])
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == SUBCOMMANDS
+    options = {
+        name: [a.option_strings for a in subparser._actions]
+        for name, subparser in sub.choices.items()
+    }
+    assert options == {
+        **{name: [["-h", "--help"]] for name in SUBCOMMANDS},
+        "witness": [["-h", "--help"], ["--f"], ["--g"]],
+    }
