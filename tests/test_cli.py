@@ -1,5 +1,7 @@
 import argparse
 import ast
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,6 +19,8 @@ import polygcd.modp
 from polygcd import MonicIntPoly, brute_force_profile
 from polygcd.cli import main
 from polygcd.poly import MAX_COEFF_BITS, MAX_DEGREE
+
+from support import acceptance_pair_pool
 
 P52 = "8936582237915716659950962253358945635793453256935559"
 
@@ -755,3 +759,53 @@ def test_only_the_dispatched_subcommand_gets_its_arguments():
         **{name: [["-h", "--help"]] for name in SUBCOMMANDS},
         "witness": [["-h", "--help"], ["--f"], ["--g"]],
     }
+
+
+# ---------------------------------------------------------------------------
+# golden output
+# ---------------------------------------------------------------------------
+
+GOLDEN_COMMANDS = [
+    ("analyze",),
+    ("analyze", "--json"),
+    ("analyze", "--verify"),
+    ("witness",),
+    ("period",),
+    ("resultant", "--verify"),
+]
+# The stress family x^k + a against (x+1)^k + a, at values of a whose
+# resultants factor quickly: prime, square-free with a large prime, and
+# non-square-free with many prime powers.
+GOLDEN_FAMILY = [(k, a) for k in (5, 8, 11) for a in (-2, -1, 1, 2)] + [
+    (17, a) for a in (-9, -2, -1, 1, 2, 9)
+]
+# sha256 of the output of every GOLDEN_COMMANDS line on every golden_pairs()
+# pair, as golden_digest() frames it.  Recompute it only for a deliberate
+# output change, and say which change in CHANGES.md.
+GOLDEN_SHA256 = "84c9580c66532fb0cfdb3514fb9386193a833c6643a28b8ba6a260101d3bd464"
+
+
+def golden_pairs():
+    pool = [(str(f), str(g)) for f, g, r in acceptance_pair_pool() if abs(r) <= 10**4]
+    family = [(f"x^{k}{a:+d}", f"(x+1)^{k}{a:+d}") for k, a in GOLDEN_FAMILY]
+    return pool[:400] + family
+
+
+def golden_digest() -> str:
+    digest = hashlib.sha256()
+    for f, g in golden_pairs():
+        for name, *flags in GOLDEN_COMMANDS:
+            argv = [name, "--f", f, "--g", g, *flags]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(argv)
+            record = "\0".join([*argv, str(status), out.getvalue(), err.getvalue()])
+            digest.update(record.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_cli_output_matches_the_golden_digest():
+    # Exit codes, stdout and stderr of analyze (text, --json, --verify),
+    # witness, period and resultant --verify on 400 acceptance-pool pairs
+    # with |r| <= 10^4 and 20 stress-family pairs, byte for byte.
+    assert golden_digest() == GOLDEN_SHA256
