@@ -12,7 +12,6 @@ from .analysis import (
     NotSquarefree,
     ZeroResultant,
     analyze,
-    build_atlas,
     coprime_witness,
     minimal_period,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "SnfResult",
     "ZeroResultant",
     "analyze",
-    "build_atlas",
     "brute_force_profile",
     "common_root_mod_p",
     "coprime_witness",

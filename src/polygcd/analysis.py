@@ -3,30 +3,27 @@
 For monic integer f and g with square-free resultant r, every positive
 divisor d of r occurs as gcd(f(n), g(n)), and within one period of length
 |r| it occurs exactly prod(p - 1) times, the product running over the
-primes p dividing |r|/d.  ``analyze`` turns that statement into data: the
-first subresultant S_1 = s1*x + s0 lies in the ideal (f, g) and s1 is a
-unit mod r, so with c = -s0/s1 mod |r|, gcd(f(n), g(n)) = gcd(n - c, |r|).
-So the residues realizing d are the n = c mod d with
-gcd((n - c) / d, |r| / d) = 1, listed by one ascending walk.
+primes p dividing |r|/d.  ``analyze`` turns that statement into data: one
+walk of the subresultant chain gives r and S_1 = s1*x + s0, which lies in
+the ideal (f, g).  So with c = -s0/s1, the p-part of gcd(f(n), g(n)) is
+gcd(n - c, p^e) for each p^e exactly dividing r with p not dividing s1.
+Square-free r makes s1 a unit mod r, so gcd(f(n), g(n)) = gcd(n - c, |r|):
+the residues realizing d are the n = c mod d with gcd((n - c)/d, |r|/d) = 1.
 
-When the hypothesis fails the function still reports what it can: a zero
-resultant comes back with the common factor in Z[x]; a non-square-free
-resultant comes back with the result of the coprime-witness search and,
-when |r| is within the brute-force cap, an exact profile of the gcd values
-over one period.  The profile is built from local tables: the p-part of
-gcd(f(n), g(n)) depends only on n mod p^e for p^e exactly dividing r, so
-the value histogram is the multiplicative convolution of one small table
-per prime power and the minimal period is the product of the local ones.
-``minimal_period`` returns that product for any nonzero r (|r| itself
-when r is square-free).  Under ``verify`` each c mod p is checked against
-the common root of a gcd in F_p[x], and the atlas or the profile against
-the brute-force oracle.
+Otherwise ``analyze`` reports what it can: a zero resultant comes back with
+the common factor in Z[x]; a non-square-free one with the coprime-witness
+search and, when |r| is within the brute-force cap, an exact profile of one
+period.  The profile convolves one local table per p^e, the closed form of
+gcd(n - c, p^e) when p does not divide s1 and a root-lifting tree when it
+does, and its minimal period, which ``minimal_period`` returns for any
+nonzero r, is the product of the local ones.  Under ``verify`` r is checked
+against the Bareiss determinant, each c mod p against the common root of a
+gcd in F_p[x], and the atlas or the profile against the brute-force oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from .errors import CriterionInapplicable, InputError, InvariantBreach
 from .linalg import _subresultant_resultant, resultant
@@ -44,7 +41,6 @@ __all__ = [
     "NotSquarefree",
     "AnalysisOutcome",
     "analyze",
-    "build_atlas",
     "minimal_period",
     "coprime_witness",
 ]
@@ -152,7 +148,7 @@ class NotSquarefree:
         return self.witness is not None
 
 
-AnalysisOutcome = Union[GcdAtlas, ZeroResultant, NotSquarefree]
+AnalysisOutcome = GcdAtlas | ZeroResultant | NotSquarefree
 
 
 def analyze(
@@ -172,7 +168,9 @@ def analyze(
     the atlas (entry by entry) or the non-square-free profile against the
     brute-force oracle.
     """
-    r = resultant(f, g, verify=verify)
+    r, (s1, s0) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
+    if verify:
+        resultant(f, g, verify=True)  # the Bareiss determinant against the PRS
     if r == 0:
         common = gcd_over_Z(f, g)
         samples = tuple(
@@ -181,7 +179,7 @@ def analyze(
         return ZeroResultant(common_factor=common, sample_values=samples)
     fact = factor(r)
     if not is_squarefree(fact):
-        profile = _gcd_profile(f, g, fact) if abs(r) <= brute_cap else None
+        profile = _gcd_profile(f, g, fact, s1) if abs(r) <= brute_cap else None
         if verify and profile is not None:
             _cross_check_profile(profile, brute_force_profile(f, g, cap=brute_cap))
         try:
@@ -191,7 +189,7 @@ def analyze(
         return NotSquarefree(
             resultant=r, factorization=fact, profile=profile, witness=witness
         )
-    atlas = build_atlas(f, g, fact, residue_cap=residue_cap, divisor_cap=divisor_cap)
+    atlas = build_atlas(f, g, fact, s1, s0, residue_cap=residue_cap, divisor_cap=divisor_cap)
     if verify:
         _cross_check_roots(atlas)
         if abs(r) <= brute_cap:
@@ -203,23 +201,20 @@ def build_atlas(
     f: MonicIntPoly,
     g: MonicIntPoly,
     fact: Factorization,
+    s1: int,
+    s0: int,
     *,
-    residue_cap: int = RESIDUE_LISTING_CAP,
-    divisor_cap: int = DIVISOR_CAP,
+    residue_cap: int,
+    divisor_cap: int,
 ) -> GcdAtlas:
-    """Atlas for a known square-free nonzero resultant factorization.
+    """Atlas for the square-free resultant ``fact`` of (f, g) and its S_1.
 
-    One walk of the subresultant chain gives r and S_1 = s1*x + s0, hence
-    c = -s0/s1 mod |r|; the common root of f and g mod each p | r is c mod p.
+    With c = -s0/s1 mod |r|, the common root of f and g mod each p | r is c mod p.
     """
-    if not is_squarefree(fact):
-        raise InputError("build_atlas needs a square-free resultant")
     modulus = abs(fact.n)
-    r, (s1, s0) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
-    if r != fact.n or math.gcd(s1, r) != 1:
+    if math.gcd(s1, modulus) != 1:
         raise InvariantBreach(
-            f"the subresultant chain gives r = {r} and s1 = {s1}; expected"
-            f" r = {fact.n} with gcd(s1, r) = 1"
+            f"the subresultant chain gives s1 = {s1}, not a unit mod r = {fact.n}"
         )
     c = -s0 * pow(s1, -1, modulus) % modulus
     primes = list(fact.primes())
@@ -290,7 +285,7 @@ def _cross_check_atlas(atlas: GcdAtlas, profile: BruteForceProfile) -> None:
             )
 
 
-def _gcd_profile(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization) -> GcdProfile:
+def _gcd_profile(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization, s1: int) -> GcdProfile:
     # The p-parts of gcd(f(n), g(n)) for the different primes p | r are
     # independent by CRT, so the value histogram is the multiplicative
     # convolution of the local histograms (their keys are coprime, so no two
@@ -298,7 +293,7 @@ def _gcd_profile(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization) -> GcdPr
     histogram = {1: 1}
     period = 1
     for p, e in fact.factors:
-        local, local_period = _local_table(f, g, p, e)
+        local, local_period = _local_table(f, g, p, e, s1)
         histogram = {
             a * b: ca * cb for a, ca in histogram.items() for b, cb in local.items()
         }
@@ -308,16 +303,17 @@ def _gcd_profile(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization) -> GcdPr
 
 
 def _local_table(
-    f: MonicIntPoly, g: MonicIntPoly, p: int, e: int
+    f: MonicIntPoly, g: MonicIntPoly, p: int, e: int, s1: int
 ) -> tuple[dict[int, int], int]:
     """Histogram of the p-part of gcd(f(n), g(n)) over n mod p^e, and its
     minimal period, for p^e exactly dividing the resultant.
 
     The p-part never exceeds p^e and depends only on n mod p^e.
     """
-    if e == 1:
-        # p dividing r exactly once forces exactly one common root mod p.
-        return {1: p - 1, p: 1}, p
+    if s1 % p:
+        # The p-part is gcd(n - c, p^e): p^k exactly for phi(p^(e-k)) of the n.
+        histogram = {p**k: (p - 1) * p ** (e - k - 1) for k in range(e)}
+        return {**histogram, p**e: 1}, p**e
     # levels[k] holds the residues n mod p^k with p^k | f(n) and p^k | g(n).
     # Only the p lifts of a residue in levels[k - 1] can lie in levels[k].
     levels = [[0]]
@@ -328,7 +324,7 @@ def _local_table(
                 n
                 for s in levels[-1]
                 for n in range(s, q, step)
-                if _eval_mod(f, n, q) == 0 and _eval_mod(g, n, q) == 0
+                if f.evaluate(n) % q == 0 and g.evaluate(n) % q == 0
             ]
         )
     # at_least[k]: how many n mod p^e have p^k dividing the gcd.
@@ -348,13 +344,6 @@ def _local_table(
         )
     )
     return histogram, p**period_exponent
-
-
-def _eval_mod(poly: MonicIntPoly, n: int, q: int) -> int:
-    acc = 0
-    for c in poly.coeffs:
-        acc = (acc * n + c) % q
-    return acc
 
 
 def _cross_check_profile(profile: GcdProfile, oracle: BruteForceProfile) -> None:
@@ -380,11 +369,11 @@ def minimal_period(
     non-square-free profile, so no scan of |r| values is made.  ``cap``
     bounds |r| as it bounds the brute-force oracle.
     """
-    r = resultant(f, g)
+    r, (s1, _) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
     if r == 0:
         raise InputError("resultant is zero: no finite period exists in general")
     _check_period_cap(abs(r), cap)
-    return _gcd_profile(f, g, factor(r)).period
+    return _gcd_profile(f, g, factor(r), s1).period
 
 
 def coprime_witness(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import decimal
 import io
 import json
 import re
@@ -125,9 +126,11 @@ def _monic(text: str) -> MonicIntPoly:
     if poly.degree < 1:
         raise InputError(f"{text!r} expands to degree {poly.degree}; need degree >= 1")
     if poly.leading != 1:
-        raise InputError(
-            f"{text!r} is not monic: leading coefficient is {poly.leading}, expected 1"
-        )
+        try:
+            shown = f"is {poly.leading}"
+        except ValueError:  # too long to print: name its digit count instead
+            shown = f"has {decimal.Decimal(poly.leading).adjusted() + 1} digits"
+        raise InputError(f"{text!r} is not monic: leading coefficient {shown}, expected 1")
     return MonicIntPoly(poly.coeffs)
 
 
@@ -290,7 +293,6 @@ def _report_not_squarefree(
         print(
             f"coprime witness: criterion inapplicable ({bad[0]}^{bad[0]} divides the resultant)"
         )
-    return
 
 
 def _cmd_resultant(args: argparse.Namespace) -> int:

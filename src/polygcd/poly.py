@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
@@ -214,10 +215,16 @@ class _Token(NamedTuple):
 def _tokenize(text: str) -> list[_Token]:
     # Integer literals are ASCII digits only: str.isdigit would also pass
     # other scripts' digits and superscripts such as "²".
+    limit = sys.get_int_max_str_digits()
     out: list[_Token] = []
     for match in re.finditer(r"[0-9]+|\S", text):
         tok, pos = match.group(), match.start()
         if tok[0] in "0123456789":
+            if limit and len(tok) > limit:
+                raise CapExceeded(
+                    f"integer literal at position {pos} has more than {limit} digits,"
+                    " the interpreter's limit for reading an integer"
+                )
             out.append(_Token("int", tok, pos))
         elif tok in "x+-*^()":
             out.append(_Token(tok, tok, pos))

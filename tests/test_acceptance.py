@@ -19,7 +19,6 @@ from polygcd import (
     ZeroResultant,
     analyze,
     brute_force_profile,
-    build_atlas,
     common_root_mod_p,
     coprime_witness,
     det_bareiss,
@@ -130,7 +129,7 @@ def test_criterion_5_atlas_equals_oracle_on_500_squarefree_pairs(pair_pool):
             fact = factor(r)
             if not is_squarefree(fact):
                 continue
-            atlas = build_atlas(f, g, fact)
+            atlas = analyze(f, g)
             profile = brute_force_profile(f, g)
             assert atlas.multiplicity_histogram() == profile.histogram
             assert {e.divisor: e.residues for e in atlas.entries} == (
@@ -265,7 +264,7 @@ def test_criterion_11_cyclic_exactly_when_s1_is_a_unit(pair_pool):
                     cyclic += 1
                     not_squarefree_cyclic += not is_squarefree(fact)
             if is_squarefree(fact):
-                atlas = build_atlas(f, g, fact, residue_cap=1)
+                atlas = analyze(f, g, residue_cap=1)
                 for p in fact.primes():
                     assert atlas.roots[p] == common_root_mod_p(f, g, p)
                 squarefree += 1

@@ -17,7 +17,6 @@ from polygcd import (
     ZeroResultant,
     analyze,
     brute_force_profile,
-    build_atlas,
     coprime_witness,
     divisors,
     factor,
@@ -25,7 +24,11 @@ from polygcd import (
     minimal_period,
     resultant,
 )
+import polygcd.analysis
+import polygcd.linalg
+from polygcd.analysis import _local_table
 from polygcd.errors import InputError
+from polygcd.linalg import _subresultant_resultant
 
 from support import acceptance_pair_pool, random_monic
 
@@ -105,14 +108,14 @@ def test_analyze_atlas_json_schema():
 
 
 # ---------------------------------------------------------------------------
-# build_atlas specifics
+# atlas specifics
 # ---------------------------------------------------------------------------
 
 
 def test_atlas_linear_pair_with_negative_resultant():
     f, g = mp("x+1"), mp("x-1")
     assert resultant(f, g) == -2
-    atlas = build_atlas(f, g, factor(-2))
+    atlas = analyze(f, g)
     assert atlas.resultant == -2
     assert atlas.entry_for(2).residues == (1,)
     assert atlas.entry_for(2).multiplicity == 1
@@ -129,11 +132,6 @@ def test_atlas_for_a_unit_resultant(f_text, g_text):
     atlas = analyze(mp(f_text), mp(g_text), verify=True)
     assert abs(atlas.resultant) == 1 and atlas.roots == {}
     assert [(e.divisor, e.multiplicity, e.residues) for e in atlas.entries] == [(1, 1, (0,))]
-
-
-def test_build_atlas_refuses_a_factorization_of_another_resultant():
-    with pytest.raises(InvariantBreach, match="expected r = 11"):
-        build_atlas(mp("x^2+3"), mp("(x+1)^2+3"), factor(11))
 
 
 def test_atlas_multiplicity_formula_is_count_shape_only():
@@ -184,12 +182,12 @@ def test_count_identity_for_all_squarefree_moduli_up_to_10000():
 
 def test_atlas_truncation_lists_smallest_residues_first():
     f, g = mp("x^2+3"), mp("(x+1)^2+3")
-    atlas = build_atlas(f, g, factor(13), residue_cap=5)
+    atlas = analyze(f, g, residue_cap=5)
     entry = atlas.entry_for(1)
     assert entry.truncated
     assert entry.multiplicity == 12
     assert entry.residues == (0, 1, 2, 3, 4)
-    full = build_atlas(f, g, factor(13)).entry_for(1)
+    full = analyze(f, g).entry_for(1)
     assert not full.truncated
     assert full.residues[:5] == entry.residues
 
@@ -202,15 +200,15 @@ def _multi_prime_pool_pairs():
             continue
         fact = factor(r)
         if is_squarefree(fact) and len(fact.factors) >= 3:
-            yield f, g, fact
+            yield f, g
 
 
 def test_truncated_listings_match_the_oracle_on_multi_prime_pool_pairs():
     checked = 0
-    for f, g, fact in _multi_prime_pool_pairs():
+    for f, g in _multi_prime_pool_pairs():
         by_value = brute_force_profile(f, g).residues_by_value()
         for cap in (1, 3, 7):
-            for entry in build_atlas(f, g, fact, residue_cap=cap).entries:
+            for entry in analyze(f, g, residue_cap=cap).entries:
                 assert entry.residues == by_value[entry.divisor][:cap]
                 assert entry.truncated == (entry.multiplicity > cap)
         checked += 1
@@ -220,18 +218,12 @@ def test_truncated_listings_match_the_oracle_on_multi_prime_pool_pairs():
 def test_truncation_boundary_is_the_multiplicity():
     # r = 2 * 3 * 5 * 7 * 11: the divisor 1 is realized 1 * 2 * 4 * 6 * 10 times.
     f, g = mp("x"), mp("x^2+2310")
-    fact = factor(2310)
     multiplicity = 480
-    assert build_atlas(f, g, fact).entry_for(1).multiplicity == multiplicity
-    exact = build_atlas(f, g, fact, residue_cap=multiplicity).entry_for(1)
+    assert analyze(f, g).entry_for(1).multiplicity == multiplicity
+    exact = analyze(f, g, residue_cap=multiplicity).entry_for(1)
     assert not exact.truncated and len(exact.residues) == multiplicity
-    short = build_atlas(f, g, fact, residue_cap=multiplicity - 1).entry_for(1)
+    short = analyze(f, g, residue_cap=multiplicity - 1).entry_for(1)
     assert short.truncated and short.residues == exact.residues[:-1]
-
-
-def test_build_atlas_rejects_non_squarefree():
-    with pytest.raises(InputError):
-        build_atlas(mp("x^2-1"), mp("x^2+1"), factor(4))
 
 
 def test_atlas_agrees_with_brute_force_on_random_pairs():
@@ -246,7 +238,7 @@ def test_atlas_agrees_with_brute_force_on_random_pairs():
         fact = factor(r)
         if not is_squarefree(fact):
             continue
-        atlas = build_atlas(f, g, fact)
+        atlas = analyze(f, g)
         profile = brute_force_profile(f, g)
         assert atlas.multiplicity_histogram() == profile.histogram
         assert {
@@ -257,7 +249,7 @@ def test_atlas_agrees_with_brute_force_on_random_pairs():
 
 def test_every_listed_residue_realizes_its_divisor():
     f, g = mp("x^2+3"), mp("(x+1)^2+3")
-    atlas = build_atlas(f, g, factor(13))
+    atlas = analyze(f, g)
     for entry in atlas.entries:
         for n in entry.residues:
             assert math.gcd(f.evaluate(n), g.evaluate(n)) == entry.divisor
@@ -341,6 +333,8 @@ def assert_profile_matches_brute_force(f, g, profile):
         # gcd(n^2, 2^7) depends only on n mod 16.
         ("x^2", "x^2+2^7", 2**14, {1: 8192, 4: 4096, 16: 2048, 64: 1024, 128: 1024}, 16),
         ("x", "x^2-12", -12, {1: 4, 2: 2, 3: 2, 4: 2, 6: 1, 12: 1}, 12),
+        # s1 = 1, so gcd(n, n + 8) = gcd(n, 8): the closed form at e = 3.
+        ("x", "x+8", 8, {1: 4, 2: 2, 4: 1, 8: 1}, 8),
     ],
 )
 def test_not_squarefree_profile_worked_cases(f_text, g_text, r, histogram, period):
@@ -366,24 +360,65 @@ def test_not_squarefree_profile_agrees_with_brute_force_on_the_acceptance_pool()
     assert checked >= 300
 
 
+def test_closed_form_tables_match_the_lifting_tree_on_the_acceptance_pool():
+    # s1 = 0 sends every prime through the lifting tree.
+    checked = 0
+    for f, g, r in acceptance_pair_pool():
+        if r == 0 or abs(r) > 10**4:
+            continue
+        _, (s1, _) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
+        for p, e in factor(r).factors:
+            if s1 % p and e >= 2:
+                assert _local_table(f, g, p, e, s1) == _local_table(f, g, p, e, 0)
+                checked += 1
+    assert checked >= 250
+
+
 def test_analyze_verify_cross_checks_the_not_squarefree_profile(monkeypatch):
     f, g = mp("x^2"), mp("x^2+2^7")
     outcome = analyze(f, g, verify=True)
     assert isinstance(outcome, NotSquarefree)
     assert outcome.profile.period == 16
 
-    import polygcd.analysis as analysis_module
+    real_table = _local_table
 
-    real_table = analysis_module._local_table
-
-    def table_with_wrong_period(f, g, p, e):
-        histogram, period = real_table(f, g, p, e)
+    def table_with_wrong_period(f, g, p, e, s1):
+        histogram, period = real_table(f, g, p, e, s1)
         return histogram, period * p
 
-    monkeypatch.setattr(analysis_module, "_local_table", table_with_wrong_period)
+    monkeypatch.setattr(polygcd.analysis, "_local_table", table_with_wrong_period)
     assert analyze(f, g).profile.period == 32
     with pytest.raises(InvariantBreach):
         analyze(f, g, verify=True)
+
+
+@pytest.mark.parametrize(
+    "f_text, g_text",
+    [
+        ("x^2+3", "(x+1)^2+3"),  # atlas
+        ("x^2-1", "x^2+1"),  # not square-free, lifting tree at 2^2
+        ("x", "x+8"),  # not square-free, closed form at 2^3
+        ("x^2+x+1", "x^2+x+1"),  # zero resultant
+    ],
+)
+def test_one_chain_walk_per_analysis(monkeypatch, f_text, g_text):
+    # Every walk goes through one of these two bindings: the analysis
+    # module's own, or linalg's behind resultant().
+    walks = []
+
+    def counted(a, b):
+        walks.append((a, b))
+        return _subresultant_resultant(a, b)
+
+    monkeypatch.setattr(polygcd.analysis, "_subresultant_resultant", counted)
+    monkeypatch.setattr(polygcd.linalg, "_subresultant_resultant", counted)
+    f, g = mp(f_text), mp(g_text)
+    analyze(f, g)
+    assert len(walks) == 1
+    if resultant(f, g) != 0:
+        walks.clear()
+        minimal_period(f, g)
+        assert len(walks) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ def test_public_api_is_pinned():
             "SnfResult",
             "ZeroResultant",
             "analyze",
-            "build_atlas",
             "brute_force_profile",
             "common_root_mod_p",
             "coprime_witness",
@@ -51,5 +50,5 @@ def test_public_api_is_pinned():
             "sylvester_matrix",
         ]
     )
-    assert len(polygcd.__all__) == 44
+    assert len(polygcd.__all__) == 43
     assert all(hasattr(polygcd, name) for name in polygcd.__all__)

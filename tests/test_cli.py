@@ -610,6 +610,26 @@ def test_snf_answer_too_long_to_print_exits_2(capsys, monkeypatch, flags):
     assert run_cli(capsys, "snf", *flags) == (2, "", TOO_LONG)
 
 
+def test_integer_literal_too_long_to_read_exits_2(capsys):
+    literal = "7" * (LIMIT + 1)
+    assert run_cli(capsys, "resultant", "--f", f"x+{literal}", "--g", "x") == (
+        2,
+        "",
+        f"error: integer literal at position 2 has more than {LIMIT} digits,"
+        " the interpreter's limit for reading an integer\n",
+    )
+
+
+def test_not_monic_names_a_leading_coefficient_too_long_to_print_by_its_digits(capsys):
+    # 2^16000 has 4817 digits.
+    assert run_cli(capsys, "analyze", "--f", "2^16000*x+1", "--g", "x") == (
+        1,
+        "",
+        "error: '2^16000*x+1' is not monic: leading coefficient has 4817 digits,"
+        " expected 1\n",
+    )
+
+
 def test_integers_at_the_print_limit_still_print(capsys, monkeypatch):
     longest = 10**LIMIT - 1
     assert run_cli(capsys, "resultant", "--f", "x", "--g", f"x+{longest}") == (
