@@ -380,10 +380,8 @@ def test_analyze_verify_cross_checks_the_not_squarefree_profile(monkeypatch):
     assert isinstance(outcome, NotSquarefree)
     assert outcome.profile.period == 16
 
-    real_table = _local_table
-
     def table_with_wrong_period(f, g, p, e, s1):
-        histogram, period = real_table(f, g, p, e, s1)
+        histogram, period = _local_table(f, g, p, e, s1)
         return histogram, period * p
 
     monkeypatch.setattr(polygcd.analysis, "_local_table", table_with_wrong_period)
