@@ -11,14 +11,16 @@ Square-free r makes s1 a unit mod r, so gcd(f(n), g(n)) = gcd(n - c, |r|):
 the residues realizing d are the n = c mod d with gcd((n - c)/d, |r|/d) = 1.
 
 Otherwise ``analyze`` reports what it can: a zero resultant comes back with
-the common factor in Z[x]; a non-square-free one with the coprime-witness
-search and, when |r| is within the brute-force cap, an exact profile of one
+the common factor in Z[x]; a non-square-free one with an n realizing gcd 1,
+or the prime that rules one out, found from gcds with r without factoring
+it, and, when |r| is within the brute-force cap, an exact profile of one
 period.  The profile convolves one local table per p^e, the closed form of
 gcd(n - c, p^e) when p does not divide s1 and a root-lifting tree when it
 does, and its minimal period, which ``minimal_period`` returns for any
 nonzero r, is the product of the local ones.  Under ``verify`` r is checked
 against the Bareiss determinant, each c mod p against the common root of a
-gcd in F_p[x], and the atlas or the profile against the brute-force oracle.
+gcd in F_p[x], and the atlas or the profile and the witness verdict
+against the brute-force oracle.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from .errors import CriterionInapplicable, InputError, InvariantBreach
 from .linalg import _subresultant_resultant, resultant
 from .modp import common_root_mod_p
 from .ntheory import DIVISOR_CAP, Factorization, divisors, factor, is_squarefree, crt
+from .ntheory import _TRIAL_DIVISION_BOUND, _trial_divide
 from .oracle import BRUTE_FORCE_CAP, BruteForceProfile, _check_period_cap, brute_force_profile
 from .poly import IntPoly, MonicIntPoly, gcd_over_Z
 
@@ -135,13 +138,15 @@ class GcdProfile:
 class NotSquarefree:
     """r != 0 but not square-free: no atlas, but an exact profile within cap.
 
-    ``witness`` is None when the p^p criterion does not apply.
+    ``witness`` is an n with gcd(f(n), g(n)) = 1, or None when none exists;
+    then ``common_prime`` is the smallest prime dividing every value.
     """
 
     resultant: int
     factorization: Factorization
     profile: GcdProfile | None
     witness: int | None
+    common_prime: int | None
 
     @property
     def witness_applicable(self) -> bool:
@@ -165,8 +170,8 @@ def analyze(
     With ``verify=True`` the resultant is cross-checked against the Bareiss
     determinant of the Sylvester matrix, every root c mod p of the atlas
     against ``common_root_mod_p`` and, when |r| is within ``brute_cap``,
-    the atlas (entry by entry) or the non-square-free profile against the
-    brute-force oracle.
+    the atlas (entry by entry) or the non-square-free profile and witness
+    verdict against the brute-force oracle.
     """
     r, (s1, s0) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
     if verify:
@@ -179,16 +184,16 @@ def analyze(
         return ZeroResultant(common_factor=common, sample_values=samples)
     fact = factor(r)
     if not is_squarefree(fact):
+        try:
+            witness, common_prime = coprime_witness(f, g, r), None
+        except CriterionInapplicable as exc:
+            witness, common_prime = None, exc.prime
         profile = _gcd_profile(f, g, fact, s1) if abs(r) <= brute_cap else None
         if verify and profile is not None:
-            _cross_check_profile(profile, brute_force_profile(f, g, cap=brute_cap))
-        try:
-            witness = coprime_witness(f, g, fact)
-        except CriterionInapplicable:
-            witness = None
-        return NotSquarefree(
-            resultant=r, factorization=fact, profile=profile, witness=witness
-        )
+            oracle = brute_force_profile(f, g, cap=brute_cap)
+            _cross_check_profile(profile, oracle)
+            _cross_check_witness(witness, common_prime, oracle)
+        return NotSquarefree(r, fact, profile, witness, common_prime)
     atlas = build_atlas(f, g, fact, s1, s0, residue_cap=residue_cap, divisor_cap=divisor_cap)
     if verify:
         _cross_check_roots(atlas)
@@ -359,6 +364,16 @@ def _cross_check_profile(profile: GcdProfile, oracle: BruteForceProfile) -> None
         )
 
 
+def _cross_check_witness(witness: int | None, prime: int | None, oracle: BruteForceProfile) -> None:
+    # A witness exactly when 1 is a value; without one, prime divides every value.
+    if witness is not None:
+        holds = 1 in oracle.histogram
+    else:
+        holds = all(v % prime == 0 for v in oracle.gcd_range)
+    if not holds:
+        raise InvariantBreach("the coprime-witness verdict disagrees with the brute-force oracle")
+
+
 def minimal_period(
     f: MonicIntPoly, g: MonicIntPoly, *, cap: int = BRUTE_FORCE_CAP
 ) -> int:
@@ -376,39 +391,53 @@ def minimal_period(
     return _gcd_profile(f, g, factor(r), s1).period
 
 
-def coprime_witness(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization) -> int:
-    """An integer n with gcd(f(n), g(n)) = 1, in [0, prod of primes of r).
+def coprime_witness(f: MonicIntPoly, g: MonicIntPoly, r: int) -> int:
+    """An integer n with gcd(f(n), g(n)) = 1, from the nonzero resultant r
+    of (f, g) and gcds alone: r is never factored.
 
-    Requires that no prime p has p^p dividing r; under that hypothesis a
-    residue n_p with p not dividing gcd(f(n_p), g(n_p)) exists for every
-    p | r, and the CRT combination of those residues is coprime-realizing.
-    Raises CriterionInapplicable when the hypothesis fails, which says
-    nothing about whether such an n exists.
+    A prime q | r divides gcd(f(n), g(n)) for at most m = min(deg f, deg g)
+    residues n mod q, unless q <= m and it divides every value.  So for
+    n = 0..m in turn, the part of r not yet placed that is coprime to
+    gcd(f(n), g(n)) takes n as its residue: each prime below 1000 mod
+    itself, and the cofactor left by trial division mod all of it.  The
+    witness is the CRT of these congruences.  Raises CriterionInapplicable,
+    naming the smallest prime p <= m that divides every value; then p^p
+    divides r (the paper's criterion) and no witness exists.
     """
-    bad = [p for p, e in fact.factors if e >= p]
-    if bad:
-        p = bad[0]
-        raise CriterionInapplicable(
-            f"criterion inapplicable: {p}^{p} divides the resultant"
-        )
+    if r == 0:
+        raise InputError("resultant is zero: the witness criterion needs r != 0")
+    m = min(f.degree, g.degree)
+    if m >= _TRIAL_DIVISION_BOUND:  # a prime of the cofactor could be <= m
+        raise InputError(f"coprime_witness needs min(deg f, deg g) < 1000, got {m}")
+    small, rest = _trial_divide(abs(r))
+    unplaced = math.prod(small) * rest
     congruences = []
-    max_common_roots = min(f.degree, g.degree)
-    for p in fact.primes():
-        scan = min(p, max_common_roots + 1)
-        n_p = next(
-            (
-                n
-                for n in range(scan)
-                if math.gcd(f.evaluate(n), g.evaluate(n)) % p != 0
-            ),
-            None,
-        )
-        if n_p is None:
-            raise InvariantBreach(
-                f"no residue avoids the prime {p}; this contradicts p^p not dividing r"
-            )
-        congruences.append((n_p, p))
+    n = 0
+    while unplaced > 1 and n <= m:
+        part = _coprime_part(unplaced, math.gcd(f.evaluate(n), g.evaluate(n)))
+        if part > 1:
+            congruences.append((n, part))
+            unplaced //= part
+        n += 1
+    if unplaced > 1:
+        # Its primes divide every value, so they are <= m: primes below 1000, or
+        # the one prime trial division left when it stopped at p^2 > rest.  Then
+        # f and g share the p roots of x^p - x mod p, which forces p^p | r.
+        p = min((p for p in small if unplaced % p == 0), default=unplaced)
+        if p > m or r % p**p:
+            raise InvariantBreach(f"the prime {p} divides every gcd value, yet not p^p | r")
+        raise CriterionInapplicable(p)
     witness = crt(congruences)[0]
     if math.gcd(f.evaluate(witness), g.evaluate(witness)) != 1:
         raise InvariantBreach("coprime witness failed its own verification")
     return witness
+
+
+def _coprime_part(a: int, v: int) -> int:
+    """The largest divisor of a > 0 that is coprime to v."""
+    g = math.gcd(a, v)
+    while g > 1:
+        # The primes of a that divide v are exactly those of g.
+        a //= g
+        g = math.gcd(a, g)
+    return a

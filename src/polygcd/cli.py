@@ -38,6 +38,7 @@ from .errors import (
     InvariantBreach,
 )
 from .linalg import IntMatrix, resultant
+# factor is not called here; bench/tracing.py BINDINGS rebinds polygcd.cli.factor.
 from .ntheory import DIVISOR_CAP, MR_DETERMINISTIC_BOUND, Factorization, factor
 from .oracle import BRUTE_FORCE_CAP, brute_force_profile
 from .poly import MonicIntPoly, parse_poly
@@ -289,10 +290,8 @@ def _report_not_squarefree(
     if outcome.witness_applicable:
         print(f"coprime witness: n = {outcome.witness}")
     else:
-        bad = [p for p, e in outcome.factorization.factors if e >= p]
-        print(
-            f"coprime witness: criterion inapplicable ({bad[0]}^{bad[0]} divides the resultant)"
-        )
+        p = outcome.common_prime
+        print(f"coprime witness: criterion inapplicable ({p}^{p} divides the resultant)")
 
 
 def _cmd_resultant(args: argparse.Namespace) -> int:
@@ -358,17 +357,14 @@ def _cmd_brute_force(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     f = _monic(args.f)
     g = _monic(args.g)
-    r = resultant(f, g)
-    if r == 0:
-        raise InputError("resultant is zero: the witness criterion needs r != 0")
-    fact = factor(r)
     try:
-        n = coprime_witness(f, g, fact)
+        n = coprime_witness(f, g, resultant(f, g))
     except CriterionInapplicable as exc:
         print(exc)
         return 0
-    print(f"n = {n}")
-    print(f"gcd(f({n}), g({n})) = 1")
+    with _printed("the witness"):
+        print(f"n = {n}")
+        print(f"gcd(f({n}), g({n})) = 1")
     return 0
 
 
@@ -385,7 +381,7 @@ _SUBCOMMANDS = {
     "resultant": ("print the signed resultant", _resultant_args, _cmd_resultant),
     "snf": ("Smith normal form of an integer matrix", _snf_args, _cmd_snf),
     "brute-force": ("tabulate gcd(f(n), g(n)) over one period", _brute_force_args, _cmd_brute_force),
-    "witness": ("find n with gcd(f(n), g(n)) = 1 via the p^p criterion", _pair_args, _cmd_witness),
+    "witness": ("find n with gcd(f(n), g(n)) = 1, or prove none exists", _pair_args, _cmd_witness),
     "period": ("smallest positive period of gcd(f(n), g(n))", _period_args, _cmd_period),
 }
 

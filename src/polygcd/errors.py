@@ -26,11 +26,16 @@ class CapExceeded(PolyGcdError, RuntimeError):
 
 
 class CriterionInapplicable(PolyGcdError):
-    """The p^p-free hypothesis behind the coprime-witness search fails.
+    """No coprime witness exists: the prime ``prime`` <= min(deg f, deg g)
+    divides gcd(f(n), g(n)) for every n.
 
-    This says nothing about whether a witness exists; it only means the
-    sufficient criterion cannot be applied.
+    Then f and g share every residue mod p as a root, and p^p divides the
+    resultant, which is how the paper's criterion fails.
     """
+
+    def __init__(self, prime: int):
+        super().__init__(f"criterion inapplicable: {prime}^{prime} divides the resultant")
+        self.prime = prime
 
 
 class FactorizationFailed(PolyGcdError, RuntimeError):

@@ -49,7 +49,8 @@ def _sieve(limit: int) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
-_SMALL_PRIMES = _sieve(1000)
+_TRIAL_DIVISION_BOUND = 1000
+_SMALL_PRIMES = _sieve(_TRIAL_DIVISION_BOUND)
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -218,7 +219,16 @@ def factor(n: int) -> Factorization:
     """
     if n == 0:
         raise InputError("0 has no prime factorization")
-    m = abs(n)
+    counts, m = _trial_divide(abs(n))
+    if m > 1:
+        _split_recursively(m, counts)
+    return Factorization(n, 1 if n > 0 else -1, tuple(sorted(counts.items())))
+
+
+def _trial_divide(m: int) -> tuple[dict[int, int], int]:
+    """The exponents of the primes below 1000 in m > 0, and the cofactor left:
+    1, a prime (division stops once p^2 exceeds it), or a number with no
+    prime factor below 1000."""
     counts: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > m:
@@ -226,9 +236,7 @@ def factor(n: int) -> Factorization:
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
-    if m > 1:
-        _split_recursively(m, counts)
-    return Factorization(n, 1 if n > 0 else -1, tuple(sorted(counts.items())))
+    return counts, m
 
 
 def _split_recursively(m: int, counts: dict[int, int], rng=None) -> None:

@@ -214,24 +214,30 @@ def test_criterion_8_corank_identity_exhaustive():
 
 
 def test_criterion_9_coprime_witness_suite(pair_pool):
-    with criterion(9, "p^p-free pairs: witness found; r = 4 case inapplicable"):
-        applicable = 0
+    with criterion(9, "witness iff 1 is a gcd value, always when p^p-free; r = 4 gives n = 0"):
+        applicable = exact = 0
         for f, g, r in pair_pool:
             if r == 0 or abs(r) > 10**4:
                 continue
             fact = factor(r)
-            if any(e >= p for p, e in fact.factors):
-                with pytest.raises(CriterionInapplicable):
-                    coprime_witness(f, g, fact)
-                continue
-            n = coprime_witness(f, g, fact)
-            assert math.gcd(f.evaluate(n), g.evaluate(n)) == 1
-            applicable += 1
-        assert applicable >= 400
-        # the r = 4 worked example: criterion inapplicable, yet gcd 1 occurs
+            ones = 1 in brute_force_profile(f, g).histogram
+            try:
+                n = coprime_witness(f, g, r)
+            except CriterionInapplicable as exc:
+                # no witness: a prime p <= m with p^p | r divides every value
+                p = exc.prime
+                assert not ones
+                assert p <= min(f.degree, g.degree) and r % p**p == 0
+                assert all(math.gcd(f.evaluate(k), g.evaluate(k)) % p == 0 for k in range(p))
+            else:
+                assert ones and math.gcd(f.evaluate(n), g.evaluate(n)) == 1
+                # the paper's claim: no p^p dividing r means a witness exists
+                applicable += all(e < p for p, e in fact.factors)
+            exact += 1
+        assert applicable >= 400 and exact >= 850
+        # the r = 4 worked example: 2^2 divides r, yet gcd 1 occurs at n = 0
         f4, g4 = mp("x^2-1"), mp("x^2+1")
-        with pytest.raises(CriterionInapplicable):
-            coprime_witness(f4, g4, factor(4))
+        assert coprime_witness(f4, g4, 4) == 0
         assert math.gcd(f4.evaluate(0), g4.evaluate(0)) == 1
 
 

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polygcd import (
     BruteForceProfile,
@@ -26,7 +27,7 @@ from polygcd import (
 )
 import polygcd.analysis
 import polygcd.linalg
-from polygcd.analysis import _local_table
+from polygcd.analysis import _coprime_part, _local_table
 from polygcd.errors import InputError
 from polygcd.linalg import _subresultant_resultant
 
@@ -66,8 +67,9 @@ def test_analyze_not_squarefree_branch():
     assert outcome.resultant == 4
     assert outcome.profile is not None
     assert outcome.profile.gcd_range == (1, 2)
-    assert not outcome.witness_applicable
-    assert outcome.witness is None
+    # 2^2 divides r, yet gcd(f(0), g(0)) = gcd(-1, 1) = 1
+    assert outcome.witness_applicable
+    assert outcome.witness == 0 and outcome.common_prime is None
 
 
 @pytest.mark.parametrize(
@@ -426,16 +428,16 @@ def test_one_chain_walk_per_analysis(monkeypatch, f_text, g_text):
 
 def test_witness_prime_resultant():
     f, g = mp("x^2+3"), mp("(x+1)^2+3")
-    n = coprime_witness(f, g, factor(13))
+    n = coprime_witness(f, g, 13)
     assert n % 13 != 6
     assert math.gcd(f.evaluate(n), g.evaluate(n)) == 1
 
 
-def test_witness_criterion_inapplicable_for_example_4():
+def test_witness_for_example_4():
+    # 2^2 divides r = 4, so the paper's criterion does not apply, yet the
+    # gcds find n = 0.
     f, g = mp("x^2-1"), mp("x^2+1")
-    with pytest.raises(CriterionInapplicable):
-        coprime_witness(f, g, factor(4))
-    # ... yet a coprime value plainly exists:
+    assert coprime_witness(f, g, 4) == 0
     assert math.gcd(f.evaluate(0), g.evaluate(0)) == 1
 
 
@@ -444,8 +446,28 @@ def test_witness_criterion_inapplicable_for_r_72():
     # r = g(1) * g(2) = 12 * 6 = 72 by the root-product formula.
     assert g.evaluate(1) * g.evaluate(2) == 72
     assert resultant(f, g, verify=True) == 72
-    with pytest.raises(CriterionInapplicable):
-        coprime_witness(f, g, factor(72))
+    # (n - 1)(n - 2) and (n - 4)(n - 5) are both even at every n.
+    with pytest.raises(CriterionInapplicable) as exc:
+        coprime_witness(f, g, 72)
+    assert exc.value.prime == 2
+
+
+def test_witness_names_the_prime_dividing_every_value():
+    # r = -108 = -2^2 * 3^3: 2^2 | r, but only 3 divides every value.
+    f, g = mp("x^3-x"), mp("x^3-3*x^2-x-3")
+    r = resultant(f, g)
+    assert abs(r) == 108
+    assert {math.gcd(f.evaluate(n), g.evaluate(n)) % 6 for n in range(6)} == {0, 3}
+    with pytest.raises(CriterionInapplicable) as exc:
+        coprime_witness(f, g, r)
+    assert exc.value.prime == 3
+    outcome = analyze(f, g, verify=True)
+    assert outcome.witness is None and outcome.common_prime == 3
+    # 2 and 3 both divide every (n - 1) n (n + 1) + 6: the smaller is named.
+    assert resultant(f, mp("x^3-x+6")) == 216
+    with pytest.raises(CriterionInapplicable) as exc:
+        coprime_witness(f, mp("x^3-x+6"), 216)
+    assert exc.value.prime == 2
 
 
 def test_witness_on_random_pairs_satisfying_the_hypothesis():
@@ -457,19 +479,72 @@ def test_witness_on_random_pairs_satisfying_the_hypothesis():
         r = resultant(f, g)
         if r == 0:
             continue
-        fact = factor(r)
-        if any(e >= p for p, e in fact.factors):
+        if any(e >= p for p, e in factor(r).factors):
             continue
-        n = coprime_witness(f, g, fact)
+        n = coprime_witness(f, g, r)
         assert math.gcd(f.evaluate(n), g.evaluate(n)) == 1
         found += 1
 
 
 def test_witness_with_big_prime_factor():
     f, g = mp("x^17+9"), mp("(x+1)^17+9")
-    fact = factor(resultant(f, g))
-    n = coprime_witness(f, g, fact)
+    n = coprime_witness(f, g, resultant(f, g))
     assert math.gcd(f.evaluate(n), g.evaluate(n)) == 1
+
+
+def test_witness_cofactor_congruence_is_mod_the_whole_prime_power():
+    # |r| = 2 * 1009^2 and gcd(f(n), g(n)) = gcd(n + 2, r): 2 needs n = 1
+    # (mod 2), and the cofactor 1009^2, which no prime below 1000 divides,
+    # takes n = 0 modulo all of it, not modulo 1009.
+    f, g = mp("x+2"), mp("x+2+2*1009^2")
+    r = resultant(f, g)
+    assert abs(r) == 2 * 1009**2
+    assert coprime_witness(f, g, r) == 1009**2
+
+
+def test_witness_rejects_zero_resultant_and_degree_1000():
+    with pytest.raises(InputError, match="resultant is zero"):
+        coprime_witness(mp("x"), mp("x"), 0)
+    big = MonicIntPoly((1,) + (0,) * 999 + (1,))
+    assert big.degree == 1000
+    with pytest.raises(InputError, match="< 1000, got 1000"):
+        coprime_witness(big, big, 1)
+
+
+# Products of primes that a and v may share, and of primes on one side only.
+_SHARED_PRIMES = st.lists(st.sampled_from([2, 3, 5, 7, 1009, 10**9 + 7]), max_size=8)
+
+
+@given(
+    _SHARED_PRIMES, st.integers(1, 10**12), _SHARED_PRIMES, st.integers(-(10**12), 10**12)
+)
+def test_coprime_part_is_the_largest_divisor_coprime_to_v(a_primes, a_rest, v_primes, v_rest):
+    a, v = math.prod(a_primes) * a_rest, math.prod(v_primes) * v_rest
+    part = _coprime_part(a, v)
+    assert a % part == 0 and math.gcd(part, v) == 1
+    # Every prime of a // part divides v, so a // part divides a power of v.
+    quotient = a // part
+    assert pow(v, quotient.bit_length(), quotient) == 0
+
+
+@pytest.mark.parametrize(
+    "f_text, g_text, prime",
+    [
+        ("x^2-1", "x^2+1", 2),  # n = 0 is a witness
+        ("x^2-3*x+2", "x^2-9*x+20", 3),  # no witness, but 2 divides every value, not 3
+    ],
+)
+def test_analyze_verify_cross_checks_the_witness_verdict(monkeypatch, f_text, g_text, prime):
+    f, g = mp(f_text), mp(g_text)
+    analyze(f, g, verify=True)
+
+    def wrong_verdict(f, g, r):
+        raise CriterionInapplicable(prime)
+
+    monkeypatch.setattr(polygcd.analysis, "coprime_witness", wrong_verdict)
+    assert analyze(f, g).common_prime == prime
+    with pytest.raises(InvariantBreach, match="verdict disagrees with the brute-force oracle"):
+        analyze(f, g, verify=True)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import polygcd.analysis
 import polygcd.cli
 import polygcd.linalg
 import polygcd.modp
+import polygcd.ntheory
 from polygcd import MonicIntPoly, brute_force_profile
 from polygcd.cli import main
 from polygcd.poly import MAX_COEFF_BITS, MAX_DEGREE
@@ -73,8 +74,9 @@ def test_analyze_not_squarefree_report(capsys):
     assert "resultant = 4 = 2^2" in out
     assert "square-free: no" in out
     assert "{1, 2}" in out
-    assert "criterion inapplicable" in out
     assert "minimal period: 2" in out
+    # 2^2 divides r, yet n = 0 gives gcd(-1, 1) = 1
+    assert out.endswith("coprime witness: n = 0\n")
 
 
 def test_analyze_verify_flag(capsys):
@@ -213,9 +215,46 @@ def test_witness_found(capsys):
 
 
 def test_witness_inapplicable_is_reported_not_an_error(capsys):
-    status, out, _ = run_cli(capsys, "witness", "--f", "x^2-1", "--g", "x^2+1")
+    # (n - 1)(n - 2) and (n - 4)(n - 5) are both even at every n.
+    assert run_cli(capsys, "witness", "--f", "x^2-3*x+2", "--g", "x^2-9*x+20") == (
+        0,
+        "criterion inapplicable: 2^2 divides the resultant\n",
+        "",
+    )
+    # r = 4: 2^2 divides r, yet n = 0 is a witness
+    assert run_cli(capsys, "witness", "--f", "x^2-1", "--g", "x^2+1") == (
+        0,
+        "n = 0\ngcd(f(0), g(0)) = 1\n",
+        "",
+    )
+
+
+def test_not_squarefree_report_names_the_prime_dividing_every_value(capsys):
+    # r = -108 = -2^2 * 3^3: 2^2 | r, but only 3 divides every value.
+    status, out, _ = run_cli(capsys, "analyze", "--f", "x^3-x", "--g", "x^3-3*x^2-x-3")
     assert status == 0
-    assert "criterion inapplicable" in out
+    assert out.endswith("coprime witness: criterion inapplicable (3^3 divides the resultant)\n")
+
+
+@pytest.mark.parametrize(
+    "f_text, g_text",
+    [
+        ("x^17+9", "(x+1)^17+9"),
+        # r = (2^8000 - 3)^2: rho would not split it in hours
+        ("x^2+2^8000", "x^2+3"),
+    ],
+)
+def test_witness_never_factors(capsys, monkeypatch, f_text, g_text):
+    def refuse(n):
+        raise AssertionError("witness called factor")
+
+    for module in (polygcd.ntheory, polygcd.analysis, polygcd.cli):
+        monkeypatch.setattr(module, "factor", refuse)
+    assert run_cli(capsys, "witness", "--f", f_text, "--g", g_text) == (
+        0,
+        "n = 0\ngcd(f(0), g(0)) = 1\n",
+        "",
+    )
 
 
 def test_period(capsys):
@@ -431,7 +470,7 @@ def test_analyze_json_not_squarefree(capsys):
     assert doc["squarefree"] is False
     assert doc["resultant"] == "4"
     assert doc["range"] == ["1", "2"]
-    assert doc["witness"] is None and doc["witness_applicable"] is False
+    assert doc["witness"] == "0" and doc["witness_applicable"] is True
 
 
 def test_analyze_json_not_squarefree_with_witness(capsys):
@@ -593,6 +632,18 @@ def test_analyze_answer_too_long_to_print_exits_2(capsys, argv):
     assert run_cli(capsys, *argv) == (2, "", TOO_LONG)
 
 
+def test_witness_too_long_to_print_exits_2(capsys):
+    # gcd(f(0), g(0)) = 5, so the cofactor of r = 25 * (2^8000 + 1)^2 left by
+    # trial division takes n = 0 modulo all of it, and the CRT with the
+    # primes below 1000 gives a witness of more than 4300 digits.
+    assert run_cli(capsys, "witness", "--f", "x^2+5", "--g", "x^2+5+5*(2^8000+1)") == (
+        2,
+        "",
+        f"error: the witness has more than {LIMIT} digits,"
+        " the interpreter's limit for printing an integer\n",
+    )
+
+
 @pytest.mark.parametrize("command", ["period", "brute-force"])
 def test_period_cap_message_too_long_to_print_exits_2(capsys, command):
     status, out, err = run_cli(capsys, command, "--f", "x+2^16000", "--g", "x+1")
@@ -673,7 +724,7 @@ positional arguments:
     resultant           print the signed resultant
     snf                 Smith normal form of an integer matrix
     brute-force         tabulate gcd(f(n), g(n)) over one period
-    witness             find n with gcd(f(n), g(n)) = 1 via the p^p criterion
+    witness             find n with gcd(f(n), g(n)) = 1, or prove none exists
     period              smallest positive period of gcd(f(n), g(n))
 
 options:
@@ -802,7 +853,7 @@ GOLDEN_FAMILY = [(k, a) for k in (5, 8, 11) for a in (-2, -1, 1, 2)] + [
 # sha256 of the output of every GOLDEN_COMMANDS line on every golden_pairs()
 # pair, as golden_digest() frames it.  Recompute it only for a deliberate
 # output change, and say which change in CHANGES.md.
-GOLDEN_SHA256 = "84c9580c66532fb0cfdb3514fb9386193a833c6643a28b8ba6a260101d3bd464"
+GOLDEN_SHA256 = "902323b31662f0f81ff824ce2fc43bc9ae2e05d42895dbc69aec7b03382d9072"
 
 
 def golden_pairs():
