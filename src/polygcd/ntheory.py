@@ -6,9 +6,12 @@ Above the bound the test is Baillie-PSW, a probable-prime test with no
 known counterexample; callers that report primes can flag those as
 "probable" by comparing against the bound.
 
-Pollard rho draws its starting points from one generator with a fixed
-seed, ``POLLARD_SEED``; a factorization is unique, so the seed only picks
-which random walk finds the primes, and every run takes the same walk.
+factor searches for each distinct prime once: a perfect power is split
+by its exact integer root before Pollard rho, and every copy of a prime
+found is divided out before the next search.  Pollard rho draws its
+starting points from one generator with a fixed seed, ``POLLARD_SEED``;
+a factorization is unique, so the seed only picks which random walk
+finds the primes, and every run takes the same walk.
 """
 from __future__ import annotations
 
@@ -220,8 +223,12 @@ def factor(n: int) -> Factorization:
     if n == 0:
         raise InputError("0 has no prime factorization")
     counts, m = _trial_divide(abs(n))
-    if m > 1:
-        _split_recursively(m, counts)
+    for p in _distinct_primes(m):
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        counts[p] = e
     return Factorization(n, 1 if n > 0 else -1, tuple(sorted(counts.items())))
 
 
@@ -239,17 +246,56 @@ def _trial_divide(m: int) -> tuple[dict[int, int], int]:
     return counts, m
 
 
-def _split_recursively(m: int, counts: dict[int, int], rng=None) -> None:
-    # m > 1 is prime or has no prime factor below 1000.  rng is made at the
-    # first composite, since seeding it costs more than factoring a small m.
-    if is_prime(m):
-        counts[m] = counts.get(m, 0) + 1
-        return
-    if rng is None:
-        rng = random.Random(POLLARD_SEED)
-    piece = _pollard_brent(m, rng)
-    _split_recursively(piece, counts, rng)
-    _split_recursively(m // piece, counts, rng)
+def _distinct_primes(m: int) -> set[int]:
+    # The primes of m >= 1, which is 1, a prime, or has no prime factor
+    # below 1000.  Each piece loses the copies of every prime found so far
+    # before it is tested, root-split or searched.  rng is made at the first
+    # rho, since seeding it costs more than factoring a small m.
+    primes: set[int] = set()
+    pieces = [m]
+    rng = None
+    while pieces:
+        piece = pieces.pop()
+        for p in primes:
+            while piece % p == 0:
+                piece //= p
+        if piece == 1:
+            continue
+        if is_prime(piece):
+            primes.add(piece)
+            continue
+        root = _perfect_power_root(piece)
+        if root is not None:
+            pieces.append(root)
+            continue
+        if rng is None:
+            rng = random.Random(POLLARD_SEED)
+        d = _pollard_brent(piece, rng)
+        pieces += [piece // d, d]
+    return primes
+
+
+def _perfect_power_root(m: int) -> int | None:
+    # b with m = b**k for a prime k, or None.  m has no prime factor below
+    # 1000, so b > 1000 and k <= log_1000(m).
+    k = 2
+    while 1000**k <= m:
+        if is_prime(k):
+            b = _iroot(m, k)
+            if b**k == m:
+                return b
+        k += 1
+    return None
+
+
+def _iroot(m: int, k: int) -> int:
+    # floor(m ** (1/k)) for m >= 1, by Newton's method from above.
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _pollard_brent(n: int, rng: random.Random) -> int:

@@ -10,7 +10,12 @@ raises InvariantBreach since it can only mean a bug.
 
 The algorithm is classic elimination to a diagonal using gcd row/column
 combinations, followed by a divisibility-fixing pass that replaces each
-offending diagonal pair (a, b) by (gcd, lcm) via unimodular moves.
+offending diagonal pair (a, b) by (gcd, lcm) via unimodular moves.  Step
+t takes its pivot from column t, the smallest nonzero entry at or below
+row t, and searches the whole trailing submatrix only when that part of
+the column is zero: on Sylvester matrices this keeps the entries of U and
+V smaller than a search of the whole submatrix does.  U and V are not
+unique, d is.
 """
 from __future__ import annotations
 
@@ -92,20 +97,13 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
 
 
 def _smallest_nonzero(a, t, rows, cols):
-    # Position of the smallest |entry| != 0 in the trailing submatrix.
-    best = None
-    best_abs = None
-    for i in range(t, rows):
-        row = a[i]
-        for j in range(t, cols):
-            value = row[j]
-            if value:
-                mag = abs(value)
-                if best_abs is None or mag < best_abs:
-                    best, best_abs = (i, j), mag
-                    if mag == 1:
-                        return best
-    return best
+    # Position of the smallest |entry| != 0 in column t at or below row t;
+    # only when that is all zero, the smallest in the trailing submatrix.
+    for columns in ((t,), range(t + 1, cols)):
+        entries = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in columns if a[i][j]]
+        if entries:
+            return min(entries)[1:]
+    return None
 
 
 def _swap_cols(mat, j1, j2):

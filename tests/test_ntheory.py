@@ -4,15 +4,18 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import polygcd.ntheory
 from polygcd import (
     CapExceeded,
     Factorization,
+    MonicIntPoly,
     crt,
     divisors,
     ext_gcd,
     factor,
     is_prime,
     is_squarefree,
+    resultant_prs,
 )
 from polygcd.errors import InputError
 from polygcd.ntheory import MR_DETERMINISTIC_BOUND, _baillie_psw
@@ -153,6 +156,86 @@ def test_factor_large_semiprime_via_pollard():
 def test_factor_is_deterministic_across_runs():
     n = (10**9 + 7) * (10**9 + 9) * (10**6 + 3) ** 2
     assert factor(n) == factor(n)
+
+
+@pytest.fixture
+def rho_calls(monkeypatch):
+    # The cofactors handed to Pollard rho, in call order.
+    calls = []
+    search = polygcd.ntheory._pollard_brent
+
+    def counting(n, rng):
+        calls.append(n)
+        return search(n, rng)
+
+    monkeypatch.setattr(polygcd.ntheory, "_pollard_brent", counting)
+    return calls
+
+
+P10 = 8646805729  # the two repeated primes of Res(x^18+22, (x+1)^18+22)
+Q11 = 89588178593
+
+
+@pytest.mark.parametrize(
+    "n, expected, max_rho_calls",
+    [
+        (1000003 * P10**2 * Q11**2, ((1000003, 1), (P10, 2), (Q11, 2)), 2),
+        (P10**2 * Q11**2, ((P10, 2), (Q11, 2)), 1),
+        ((10**6 + 3) * P10**3, ((10**6 + 3, 1), (P10, 3)), 1),
+        (1000003 * P10**2 * Q11, ((1000003, 1), (P10, 2), (Q11, 1)), 2),
+        (1009**3 * 1000003 * 1000033, ((1009, 3), (1000003, 1), (1000033, 1)), 2),
+    ],
+    ids=["q*p^2*r^2", "p^2*r^2", "q*p^3", "q*p^2*r", "p^3*q*r"],
+)
+def test_factor_searches_each_prime_once(rho_calls, n, expected, max_rho_calls):
+    assert factor(n).factors == expected
+    assert len(rho_calls) <= max_rho_calls
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        ((10**30 + 57) ** 2, ((10**30 + 57, 2),)),
+        (7 * (10**30 + 57) ** 3, ((7, 1), (10**30 + 57, 3))),
+        (1009**7, ((1009, 7),)),
+    ],
+    ids=["p^2", "7*p^3", "1009^7"],
+)
+def test_factor_splits_a_prime_power_without_rho(monkeypatch, n, expected):
+    # Rho would need about sqrt(10^30) steps for the first two, so a call
+    # fails at once instead of hanging.
+    def no_rho(cofactor, rng):
+        raise AssertionError(f"rho called on {cofactor}")
+
+    monkeypatch.setattr(polygcd.ntheory, "_pollard_brent", no_rho)
+    assert factor(n).factors == expected
+
+
+def test_factor_takes_roots_of_composite_perfect_powers(rho_calls):
+    # The sixth power is split by a square and then a cube root, so rho
+    # runs once, on 1009 * 1013.
+    assert factor((1009 * 1013) ** 6).factors == ((1009, 6), (1013, 6))
+    assert rho_calls == [1009 * 1013]
+
+
+def test_factor_agrees_with_sympy():
+    # sympy draws the primes of the random products, whose factorization is
+    # then known by construction (factorint takes some 0.4 s on each), and
+    # factorint splits the three stress resultants.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2016)
+    for _ in range(40):
+        expected = {}
+        for _ in range(rng.randint(1, 3)):
+            p = sympy.nextprime(rng.randrange(10**3, 10**9 - 10**3))
+            expected[p] = expected.get(p, 0) + rng.randint(1, 4)
+        n = math.prod(p**e for p, e in expected.items())
+        assert dict(factor(n).factors) == expected, n
+    for k, a in [(18, 22), (18, -21), (15, 51)]:
+        f = MonicIntPoly.parse(f"x^{k}+{a}")
+        g = MonicIntPoly.parse(f"(x+1)^{k}+{a}")
+        r = resultant_prs(f, g)
+        assert dict(factor(r).factors) == sympy.factorint(abs(r)), (k, a)
 
 
 def test_factorization_validates_itself():

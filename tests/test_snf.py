@@ -105,6 +105,19 @@ def test_smith_needs_divisibility_fix():
     assert_snf_contract(m, result)
 
 
+@pytest.mark.parametrize(
+    "rows, t, pivot",
+    [
+        ([[5, 1], [-3, 2]], 0, (1, 0)),  # the 1 lies outside column 0
+        ([[3, 1], [-3, 2]], 0, (0, 0)),  # a tie goes to the upper row
+        ([[7, 0, 0], [0, 0, 4], [0, 0, -2]], 1, (2, 2)),  # column 1 is zero below row 1
+        ([[1, 0], [0, 0]], 1, None),
+    ],
+)
+def test_pivot_is_the_smallest_entry_of_the_current_column(rows, t, pivot):
+    assert polygcd.snf._smallest_nonzero(rows, t, len(rows), len(rows[0])) == pivot
+
+
 # ---------------------------------------------------------------------------
 # The self-check: |det U| = |det V| = 1 from det M, or from U and V
 # ---------------------------------------------------------------------------
@@ -161,7 +174,7 @@ def test_verify_takes_det_m_only_when_m_is_square_and_nonsingular(monkeypatch, r
 
 @pytest.mark.parametrize("a", [5, -7])
 def test_snf_of_a_34x34_sylvester_matrix_with_a_2_mod_3(a):
-    # These inputs give U and V entries of 20 000 to 65 000 bits.
+    # These inputs give U and V entries of 12 000 to 43 000 bits.
     f = MonicIntPoly.parse(f"x^17+{a}")
     g = MonicIntPoly.parse(f"(x+1)^17+{a}")
     result = smith_normal_form(sylvester_matrix(f, g))
