@@ -25,7 +25,7 @@ from .errors import (
     PolyGcdError,
 )
 from .linalg import IntMatrix, det_bareiss, resultant, resultant_prs, sylvester_matrix
-from .modp import PrimeFieldPoly, common_root_mod_p, poly_gcd_mod_p
+from .modp import common_root_mod_p
 from .ntheory import (
     DIVISOR_CAP,
     MR_DETERMINISTIC_BOUND,
@@ -64,7 +64,6 @@ __all__ = [
     "NotSquarefree",
     "ParseError",
     "PolyGcdError",
-    "PrimeFieldPoly",
     "RESIDUE_LISTING_CAP",
     "SnfResult",
     "ZeroResultant",
@@ -82,7 +81,6 @@ __all__ = [
     "is_squarefree",
     "minimal_period",
     "parse_poly",
-    "poly_gcd_mod_p",
     "resultant",
     "resultant_prs",
     "smith_normal_form",

@@ -57,14 +57,17 @@ class AtlasEntry:
 
     ``multiplicity`` is the exact number of residues n in [0, |r|) with
     gcd(f(n), g(n)) = d.  ``residues`` lists them in ascending order; when
-    the count exceeds the listing cap only the smallest ones are kept and
-    ``truncated`` is set.
+    the count exceeds the listing cap only the smallest ones are kept, and
+    ``truncated`` reads true.
     """
 
     divisor: int
     multiplicity: int
     residues: tuple[int, ...]
-    truncated: bool
+
+    @property
+    def truncated(self) -> bool:
+        return self.multiplicity > len(self.residues)
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,13 @@ class GcdAtlas:
 
     f: MonicIntPoly
     g: MonicIntPoly
-    resultant: int
     factorization: Factorization
     roots: dict[int, int]
     entries: tuple[AtlasEntry, ...]
+
+    @property
+    def resultant(self) -> int:
+        return self.factorization.n
 
     def entry_for(self, divisor: int) -> AtlasEntry:
         for entry in self.entries:
@@ -142,11 +148,14 @@ class NotSquarefree:
     then ``common_prime`` is the smallest prime dividing every value.
     """
 
-    resultant: int
     factorization: Factorization
     profile: GcdProfile | None
     witness: int | None
     common_prime: int | None
+
+    @property
+    def resultant(self) -> int:
+        return self.factorization.n
 
     @property
     def witness_applicable(self) -> bool:
@@ -193,7 +202,7 @@ def analyze(
             oracle = brute_force_profile(f, g, cap=brute_cap)
             _cross_check_profile(profile, oracle)
             _cross_check_witness(witness, common_prime, oracle)
-        return NotSquarefree(r, fact, profile, witness, common_prime)
+        return NotSquarefree(fact, profile, witness, common_prime)
     atlas = build_atlas(f, g, fact, s1, s0, residue_cap=residue_cap, divisor_cap=divisor_cap)
     if verify:
         _cross_check_roots(atlas)
@@ -239,7 +248,6 @@ def build_atlas(
     return GcdAtlas(
         f=f,
         g=g,
-        resultant=fact.n,
         factorization=fact,
         roots=roots,
         entries=tuple(entries),
@@ -259,7 +267,7 @@ def _atlas_entry(
             break
         if math.gcd((n - c) // d, cofactor) == 1:
             residues.append(n)
-    return AtlasEntry(d, multiplicity, tuple(residues), multiplicity > len(residues))
+    return AtlasEntry(d, multiplicity, tuple(residues))
 
 
 def _cross_check_roots(atlas: GcdAtlas) -> None:

@@ -39,7 +39,7 @@ class IntMatrix:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise InputError("matrix dimensions must be positive")
-        entries = tuple(int(v) for v in self.entries)
+        entries = tuple(map(operator.index, self.entries))
         if len(entries) != self.rows * self.cols:
             raise InputError(
                 f"expected {self.rows * self.cols} entries, got {len(entries)}"

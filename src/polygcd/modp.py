@@ -1,98 +1,19 @@
-"""Arithmetic in F_p[x]: gcds and extraction of the common root of two
-polynomials reduced mod p.
+"""The common root of two monic polynomials mod a prime, from their gcd in F_p[x].
 
-The atlas reads its common roots from the subresultant chain; this module
-finds them independently, for ``analyze --verify`` to check at every prime
-of r.  Python integers are arbitrary precision, so the same code paths
-serve word-sized primes and primes with dozens of digits.
+The atlas reads the common root c of f and g mod each prime p | r from the
+subresultant S_1; ``analyze --verify`` checks it against this module, which
+finds it apart from the chain, by Euclid over F_p and not by the chain's
+pseudo-remainders.  Polynomials are lists of residues, leading-first with
+no leading zero (the zero polynomial is []); Python integers serve word-sized
+primes and primes with dozens of digits alike.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .ntheory import is_prime
-from .poly import IntPoly, MonicIntPoly
+from .poly import MonicIntPoly
 
-__all__ = [
-    "PrimeFieldPoly",
-    "poly_gcd_mod_p",
-    "common_root_mod_p",
-]
-
-
-@dataclass(frozen=True)
-class PrimeFieldPoly:
-    """Polynomial over F_p, coefficients leading-first and reduced to [0, p).
-
-    The zero polynomial is the empty tuple; otherwise the leading residue
-    is nonzero.
-    """
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise InputError(f"modulus must be >= 2, got {self.p}")
-        reduced = tuple(int(c) % self.p for c in self.coeffs)
-        object.__setattr__(self, "coeffs", _strip(reduced))
-
-    @classmethod
-    def from_int_poly(cls, poly: IntPoly, p: int) -> PrimeFieldPoly:
-        return cls(p, poly.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def monic(self) -> PrimeFieldPoly:
-        if self.is_zero():
-            return self
-        inv = pow(self.coeffs[0], -1, self.p)
-        return PrimeFieldPoly(self.p, tuple(c * inv % self.p for c in self.coeffs))
-
-
-def _strip(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    i = 0
-    while i < len(coeffs) and coeffs[i] == 0:
-        i += 1
-    return coeffs[i:]
-
-
-def _divmod(num: tuple[int, ...], den: tuple[int, ...], p: int):
-    # Quotient and remainder in F_p[x]; den nonzero.
-    num_l = list(num)
-    lead_inv = pow(den[0], -1, p)
-    q_len = len(num_l) - len(den) + 1
-    if q_len <= 0:
-        return (), _strip(tuple(num_l))
-    quotient = [0] * q_len
-    for i in range(q_len):
-        c = num_l[i] % p
-        if c:
-            scale = c * lead_inv % p
-            quotient[i] = scale
-            for k in range(len(den)):
-                num_l[i + k] = (num_l[i + k] - scale * den[k]) % p
-    return _strip(tuple(quotient)), _strip(tuple(num_l[q_len:]))
-
-
-def poly_gcd_mod_p(f: PrimeFieldPoly, g: PrimeFieldPoly) -> PrimeFieldPoly:
-    """Monic gcd in F_p[x] by the Euclidean algorithm."""
-    if f.p != g.p:
-        raise InputError(f"modulus mismatch: {f.p} vs {g.p}")
-    p = f.p
-    if f.is_zero() and g.is_zero():
-        raise InputError("gcd of two zero polynomials is undefined")
-    a, b = f.coeffs, g.coeffs
-    while b:
-        _, r = _divmod(a, b, p)
-        a, b = b, r
-    return PrimeFieldPoly(p, a).monic()
+__all__ = ["common_root_mod_p"]
 
 
 def common_root_mod_p(f: MonicIntPoly, g: MonicIntPoly, p: int) -> int | None:
@@ -103,9 +24,32 @@ def common_root_mod_p(f: MonicIntPoly, g: MonicIntPoly, p: int) -> int | None:
     """
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    d = poly_gcd_mod_p(
-        PrimeFieldPoly.from_int_poly(f, p), PrimeFieldPoly.from_int_poly(g, p)
-    )
-    if d.degree != 1:
-        return None
-    return -d.coeffs[1] % p
+    d = _gcd_mod_p(f.coeffs, g.coeffs, p)
+    return -d[1] % p if len(d) == 2 else None
+
+
+def _gcd_mod_p(a, b, p: int) -> list[int]:
+    """The monic gcd in F_p[x] of two integer sequences, by Euclid; [] for 0, 0."""
+    a, b = _monic(a, p), _monic(b, p)
+    while b:
+        a, b = b, _monic(_rem_mod_p(a, b, p), p)
+    return a
+
+
+def _monic(coeffs, p: int) -> list[int]:
+    # The residues mod p without leading zeros, scaled to leading coefficient 1.
+    out = [c % p for c in coeffs]
+    while out and out[0] == 0:
+        del out[0]
+    inv = pow(out[0], -1, p) if out else 0
+    return [c * inv % p for c in out]
+
+
+def _rem_mod_p(num: list[int], den: list[int], p: int) -> list[int]:
+    # The remainder of num by the monic den in F_p[x], leading zeros kept.
+    num = list(num)
+    q_len = max(len(num) - len(den) + 1, 0)
+    for i in range(q_len):
+        for k in range(1, len(den)):
+            num[i + k] = (num[i + k] - num[i] * den[k]) % p
+    return num[q_len:]

@@ -194,12 +194,11 @@ class Factorization:
     """Signed prime factorization: sign * prod(p**e) == n, primes ascending."""
 
     n: int
-    sign: int
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.sign not in (1, -1) or self.n == 0:
-            raise InputError("factorization needs a nonzero integer and sign +-1")
+        if self.n == 0:
+            raise InputError("factorization needs a nonzero integer")
         product = self.sign
         previous = 1
         for p, e in self.factors:
@@ -209,6 +208,10 @@ class Factorization:
             product *= p**e
         if product != self.n:
             raise InputError("factor product does not reproduce the integer")
+
+    @property
+    def sign(self) -> int:
+        return 1 if self.n > 0 else -1
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -229,7 +232,7 @@ def factor(n: int) -> Factorization:
             m //= p
             e += 1
         counts[p] = e
-    return Factorization(n, 1 if n > 0 else -1, tuple(sorted(counts.items())))
+    return Factorization(n, tuple(sorted(counts.items())))
 
 
 def _trial_divide(m: int) -> tuple[dict[int, int], int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(map(operator.index, self.coeffs))
         i = 0
         while i < len(coeffs) and coeffs[i] == 0:
             i += 1

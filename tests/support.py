@@ -17,7 +17,6 @@ from polygcd import (
     IntMatrix,
     IntPoly,
     MonicIntPoly,
-    PrimeFieldPoly,
     factor,
     is_prime,
     is_squarefree,
@@ -25,7 +24,6 @@ from polygcd import (
     smith_normal_form,
 )
 from polygcd.errors import CapExceeded, InputError
-from polygcd.modp import _divmod
 
 
 def naive_det(rows: list[list[int]]) -> int:
@@ -313,41 +311,3 @@ def rank_mod_p(matrix: IntMatrix, p: int) -> int:
         if rank == rows:
             break
     return rank
-
-
-def poly_mul_mod_p(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Product in F_p[x] of leading-first coefficient tuples, leading zeros stripped."""
-    return PrimeFieldPoly(p, tuple(naive_mul(list(a), list(b)))).coeffs
-
-
-def poly_sub_mod_p(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Difference in F_p[x] of leading-first coefficient tuples, leading zeros stripped."""
-    n = max(len(a), len(b))
-    a, b = (0,) * (n - len(a)) + a, (0,) * (n - len(b)) + b
-    return PrimeFieldPoly(p, tuple(x - y for x, y in zip(a, b))).coeffs
-
-
-def poly_ext_gcd_mod_p(
-    f: PrimeFieldPoly, g: PrimeFieldPoly
-) -> tuple[PrimeFieldPoly, PrimeFieldPoly, PrimeFieldPoly]:
-    """(gcd, u, v) with u*f + v*g = gcd in F_p[x] and gcd monic."""
-    if f.p != g.p:
-        raise InputError(f"modulus mismatch: {f.p} vs {g.p}")
-    p = f.p
-    if f.is_zero() and g.is_zero():
-        raise InputError("gcd of two zero polynomials is undefined")
-    r0, r1 = f.coeffs, g.coeffs
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub_mod_p(s0, poly_mul_mod_p(q, s1, p), p)
-        t0, t1 = t1, poly_sub_mod_p(t0, poly_mul_mod_p(q, t1, p), p)
-    inv = pow(r0[0], -1, p)
-    scale = lambda cs: tuple(c * inv % p for c in cs)
-    return (
-        PrimeFieldPoly(p, scale(r0)),
-        PrimeFieldPoly(p, scale(s0)),
-        PrimeFieldPoly(p, scale(t0)),
-    )

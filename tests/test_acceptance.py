@@ -193,7 +193,7 @@ def test_criterion_7_snf_contract_and_minor_gcd_oracle():
 
 def test_criterion_8_corank_identity_exhaustive():
     with criterion(8, "corank = gcd degree, exhaustive deg <= 3 for p in {2, 3, 5}"):
-        from polygcd.modp import PrimeFieldPoly, poly_gcd_mod_p
+        from polygcd.modp import _gcd_mod_p
         import itertools
 
         for p in (2, 3, 5):
@@ -204,13 +204,11 @@ def test_criterion_8_corank_identity_exhaustive():
             ]
             for fc in monics:
                 f = MonicIntPoly(fc)
-                fp = PrimeFieldPoly.from_int_poly(f, p)
                 for gc in monics:
                     g = MonicIntPoly(gc)
                     m = sylvester_matrix(f, g)
                     corank = f.degree + g.degree - rank_mod_p(m, p)
-                    d = poly_gcd_mod_p(fp, PrimeFieldPoly.from_int_poly(g, p))
-                    assert corank == d.degree
+                    assert corank == len(_gcd_mod_p(fc, gc, p)) - 1
 
 
 def test_criterion_9_coprime_witness_suite(pair_pool):

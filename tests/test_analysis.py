@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polygcd import (
+    AtlasEntry,
     BruteForceProfile,
     CapExceeded,
     CriterionInapplicable,
+    Factorization,
     GcdAtlas,
     GcdProfile,
     IntPoly,
@@ -76,9 +78,13 @@ def test_analyze_not_squarefree_branch():
     "cls, name",
     [
         (GcdAtlas, "squarefree"),
+        (GcdAtlas, "resultant"),
+        (AtlasEntry, "truncated"),
         (GcdProfile, "gcd_range"),
         (NotSquarefree, "witness_applicable"),
+        (NotSquarefree, "resultant"),
         (BruteForceProfile, "gcd_range"),
+        (Factorization, "sign"),
     ],
 )
 def test_derived_attributes_are_not_stored(cls, name):

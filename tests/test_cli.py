@@ -558,7 +558,7 @@ def test_without_verify_nothing_calls_into_modp(capsys, monkeypatch, argv):
         raise AssertionError("polygcd.modp was called")
 
     monkeypatch.setattr(polygcd.analysis, "common_root_mod_p", refuse)
-    monkeypatch.setattr(polygcd.modp, "poly_gcd_mod_p", refuse)
+    monkeypatch.setattr(polygcd.modp, "_gcd_mod_p", refuse)
     status, _, err = run_cli(capsys, *argv)
     assert (status, err) == (0, "")
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +41,20 @@ def test_matrix_validation():
         IntMatrix(0, 1, ())
     with pytest.raises(InputError):
         IntMatrix.from_rows([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, "1", Fraction(1), Fraction(3, 2)])
+def test_matrix_rejects_non_integer_entries_instead_of_truncating(bad):
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[bad, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        IntMatrix(1, 2, (5, bad))
+
+
+def test_matrix_accepts_bool_and_int_entries():
+    m = IntMatrix.from_rows([[True, 2], [False, -(10**40)]])
+    assert m.entries == (1, 2, 0, -(10**40))
+    assert all(type(v) is int for v in m.entries)
 
 
 def test_matrix_multiplication_and_identity():

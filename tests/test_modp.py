@@ -5,63 +5,28 @@ import pytest
 
 from polygcd import (
     IntMatrix,
-    IntPoly,
     MonicIntPoly,
     common_root_mod_p,
-    poly_gcd_mod_p,
     sylvester_matrix,
 )
 from polygcd.errors import InputError
-from polygcd.modp import PrimeFieldPoly, _divmod
+from polygcd.modp import _gcd_mod_p
 
-from support import (
-    poly_ext_gcd_mod_p,
-    poly_mul_mod_p,
-    poly_sub_mod_p,
-    random_monic,
-    rank_mod_p,
-)
+from support import random_monic, rank_mod_p
 
 P52 = 8936582237915716659950962253358945635793453256935559
 N52 = 8424432925592889329288197322308900672459420460792433
 
 
-def fp(text: str, p: int) -> PrimeFieldPoly:
-    from polygcd import parse_poly
-
-    return PrimeFieldPoly.from_int_poly(parse_poly(text), p)
-
-
-# ---------------------------------------------------------------------------
-# PrimeFieldPoly basics
-# ---------------------------------------------------------------------------
-
-
-def test_construction_reduces_and_strips():
-    assert PrimeFieldPoly(5, (7, 3, -1)).coeffs == (2, 3, 4)
-    assert PrimeFieldPoly(5, (10, 5, 1)).coeffs == (1,)
-    assert PrimeFieldPoly(5, (0, 0)).is_zero()
-    with pytest.raises(InputError):
-        PrimeFieldPoly(1, (1,))
-
-
-def test_monic_scaling():
-    assert PrimeFieldPoly(7, (3, 1)).monic().coeffs == (1, 5)  # 3^-1 = 5 mod 7
-
-
-def test_divmod_reconstructs():
-    p = 13
-    rng = random.Random(3)
-    for _ in range(200):
-        num = tuple(rng.randrange(p) for _ in range(rng.randint(0, 6)))
-        den = (rng.randrange(1, p),) + tuple(
-            rng.randrange(p) for _ in range(rng.randint(0, 3))
-        )
-        q, r = _divmod(num, den, p)
-        # num == q*den + r in F_p[x]
-        recon = poly_sub_mod_p(poly_mul_mod_p(q, den, p), tuple(-c % p for c in r), p)
-        assert PrimeFieldPoly(p, num) == PrimeFieldPoly(p, recon)
-        assert len(r) < len(den)
+def _divides_mod_p(d, f, p: int) -> bool:
+    # Long division in F_p[x], written apart from polygcd.modp.
+    rem = list(f)
+    inv = pow(d[0], -1, p)
+    while len(rem) >= len(d):
+        q = rem[0] * inv % p
+        padded = list(d) + [0] * (len(rem) - len(d))
+        rem = [(x - q * y) % p for x, y in zip(rem, padded)][1:]
+    return not any(rem)
 
 
 # ---------------------------------------------------------------------------
@@ -70,27 +35,18 @@ def test_divmod_reconstructs():
 
 
 def test_gcd_mod_13_worked_example():
-    d = poly_gcd_mod_p(fp("x^2+3", 13), fp("x^2+2*x+4", 13))
-    assert d.coeffs == (1, 7)  # x + 7, i.e. x - 6
+    assert _gcd_mod_p((1, 0, 3), (1, 2, 4), 13) == [1, 7]  # x + 7, i.e. x - 6
 
 
 def test_gcd_with_zero_is_monic_scaling():
-    p = fp("3*x^2+6", 7)
-    zero = PrimeFieldPoly(7, ())
-    assert poly_gcd_mod_p(p, zero) == p.monic()
-    assert poly_gcd_mod_p(zero, p) == p.monic()
-    with pytest.raises(InputError):
-        poly_gcd_mod_p(zero, zero)
+    # 3x^2 + 6 over F_7 scales by 3^-1 = 5 to x^2 + 2.
+    assert _gcd_mod_p((3, 0, 6), (), 7) == [1, 0, 2]
+    assert _gcd_mod_p((), (3, 0, 6), 7) == [1, 0, 2]
+    assert _gcd_mod_p((7, 14), (), 7) == []
 
 
 def test_gcd_mod_2_worked_example():
-    d = poly_gcd_mod_p(fp("x^2-1", 2), fp("x^2+1", 2))
-    assert d.coeffs == (1, 0, 1)  # (x+1)^2 over F_2
-
-
-def test_gcd_modulus_mismatch_rejected():
-    with pytest.raises(InputError):
-        poly_gcd_mod_p(fp("x", 3), fp("x", 5))
+    assert _gcd_mod_p((1, 0, -1), (1, 0, 1), 2) == [1, 0, 1]  # (x+1)^2 over F_2
 
 
 def _all_polys(p: int, max_degree: int):
@@ -98,48 +54,27 @@ def _all_polys(p: int, max_degree: int):
     for deg in range(max_degree + 1):
         for lead in range(1, p):
             for tail in itertools.product(range(p), repeat=deg):
-                yield PrimeFieldPoly(p, (lead,) + tail)
+                yield (lead,) + tail
 
 
 def test_gcd_is_greatest_common_divisor_by_exhaustive_enumeration():
-    # deg <= 3, p <= 5: the gcd divides both arguments and is divisible by
-    # every common divisor, checked against full divisor enumeration.
+    # deg <= 3, p <= 5: the gcd is monic, divides both arguments and is
+    # divisible by every common divisor, checked against full divisor
+    # enumeration.
     for p in (2, 3, 5):
         rng = random.Random(p)
         polys = list(_all_polys(p, 3))
         for _ in range(40):
             f = rng.choice(polys)
             g = rng.choice(polys)
-            d = poly_gcd_mod_p(f, g)
-            assert _divmod(f.coeffs, d.coeffs, p)[1] == ()
-            assert _divmod(g.coeffs, d.coeffs, p)[1] == ()
+            d = _gcd_mod_p(f, g, p)
+            assert d[0] == 1
+            assert _divides_mod_p(d, f, p) and _divides_mod_p(d, g, p)
             for candidate in polys:
-                if candidate.degree > min(f.degree, g.degree):
+                if len(candidate) > min(len(f), len(g)):
                     continue
-                divides_f = _divmod(f.coeffs, candidate.coeffs, p)[1] == ()
-                divides_g = _divmod(g.coeffs, candidate.coeffs, p)[1] == ()
-                if divides_f and divides_g:
-                    assert _divmod(d.coeffs, candidate.coeffs, p)[1] == ()
-
-
-def test_ext_gcd_bezout_certificate():
-    rng = random.Random(11)
-    for p in (2, 3, 5, 13, 101):
-        for _ in range(60):
-            f = PrimeFieldPoly(p, tuple(rng.randrange(p) for _ in range(rng.randint(1, 6))))
-            g = PrimeFieldPoly(p, tuple(rng.randrange(p) for _ in range(rng.randint(1, 6))))
-            if f.is_zero() and g.is_zero():
-                continue
-            d, u, v = poly_ext_gcd_mod_p(f, g)
-            lhs = poly_sub_mod_p(
-                poly_mul_mod_p(u.coeffs, f.coeffs, p),
-                tuple(-c % p for c in poly_mul_mod_p(v.coeffs, g.coeffs, p)),
-                p,
-            )
-            assert lhs == d.coeffs
-            assert d == poly_gcd_mod_p(f, g)
-            if not d.is_zero():
-                assert d.coeffs[0] == 1  # monic
+                if _divides_mod_p(candidate, f, p) and _divides_mod_p(candidate, g, p):
+                    assert _divides_mod_p(candidate, d, p)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +122,7 @@ def test_corank_equals_gcd_degree_exhaustive_small():
                 g = MonicIntPoly(gc)
                 m = sylvester_matrix(f, g)
                 corank = f.degree + g.degree - rank_mod_p(m, p)
-                d = poly_gcd_mod_p(
-                    PrimeFieldPoly.from_int_poly(f, p),
-                    PrimeFieldPoly.from_int_poly(g, p),
-                )
-                assert corank == d.degree
+                assert corank == len(_gcd_mod_p(fc, gc, p)) - 1
 
 
 def test_corank_equals_gcd_degree_random_larger_primes():
@@ -202,11 +133,7 @@ def test_corank_equals_gcd_degree_random_larger_primes():
             g = random_monic(rng, max_degree=4)
             m = sylvester_matrix(f, g)
             corank = f.degree + g.degree - rank_mod_p(m, p)
-            d = poly_gcd_mod_p(
-                PrimeFieldPoly.from_int_poly(f, p),
-                PrimeFieldPoly.from_int_poly(g, p),
-            )
-            assert corank == d.degree
+            assert corank == len(_gcd_mod_p(f.coeffs, g.coeffs, p)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +148,24 @@ def test_common_root_worked_examples():
     f2 = MonicIntPoly.parse("x^2-1")
     g2 = MonicIntPoly.parse("x^2+1")
     assert common_root_mod_p(f2, g2, 2) is None  # gcd degree 2
+
+
+def test_common_root_is_the_one_common_root_exactly_when_corank_is_one():
+    # The specification, exhaustive over monic f, g of degree <= 3 for
+    # p in {2, 3, 5}: c when the Sylvester matrix mod p has corank 1 and c
+    # is the only common root in a scan of the residues, None otherwise.
+    for p in (2, 3, 5):
+        monics = [MonicIntPoly(c) for c in _monic_tuples(p, 3)]
+        roots = {f: {n for n in range(p) if f.evaluate(n) % p == 0} for f in monics}
+        for f in monics:
+            for g in monics:
+                corank = f.degree + g.degree - rank_mod_p(sylvester_matrix(f, g), p)
+                common = roots[f] & roots[g]
+                if corank == 1:
+                    assert len(common) == 1
+                    assert common_root_mod_p(f, g, p) == common.pop()
+                else:
+                    assert common_root_mod_p(f, g, p) is None
 
 
 def test_common_root_52_digit_prime():

@@ -240,9 +240,9 @@ def test_factor_agrees_with_sympy():
 
 def test_factorization_validates_itself():
     with pytest.raises(InputError):
-        Factorization(12, 1, ((2, 1), (3, 1)))  # product is 6, not 12
+        Factorization(12, ((2, 1), (3, 1)))  # product is 6, not 12
     with pytest.raises(InputError):
-        Factorization(6, 1, ((3, 1), (2, 1)))  # primes out of order
+        Factorization(6, ((3, 1), (2, 1)))  # primes out of order
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -128,6 +129,22 @@ def test_leading_zeros_are_normalized():
     assert IntPoly((0, 0, 1, 2)).coeffs == (1, 2)
     assert IntPoly((0, 0)).coeffs == ()
     assert IntPoly(()).is_zero()
+
+
+@pytest.mark.parametrize("bad", [3.99, 3.0, "3", Fraction(3), Fraction(7, 2)])
+def test_non_integer_coefficients_raise_instead_of_truncating(bad):
+    # Truncation would turn x^2 + 3.99 into x^2 + 3, the r = 13 example.
+    with pytest.raises(TypeError):
+        IntPoly((1, 0, bad))
+    with pytest.raises(TypeError):
+        MonicIntPoly((1, 0, bad))
+
+
+def test_bool_and_int_coefficients_are_accepted():
+    poly = IntPoly((True, False, 3))
+    assert poly.coeffs == (1, 0, 3)
+    assert all(type(c) is int for c in poly.coeffs)
+    assert MonicIntPoly((True, 10**40)).coeffs == (1, 10**40)
 
 
 def test_monic_rejects_constants_and_nonmonic():
