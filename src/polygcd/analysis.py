@@ -25,7 +25,7 @@ against the brute-force oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CriterionInapplicable, InputError, InvariantBreach
 from .linalg import _subresultant_resultant, resultant
@@ -51,8 +51,7 @@ __all__ = [
 RESIDUE_LISTING_CAP = 10**4
 
 
-@dataclass(frozen=True)
-class AtlasEntry:
+class AtlasEntry(NamedTuple):
     """One divisor d of |r| with its multiplicity and realizing residues.
 
     ``multiplicity`` is the exact number of residues n in [0, |r|) with
@@ -70,8 +69,7 @@ class AtlasEntry:
         return self.multiplicity > len(self.residues)
 
 
-@dataclass(frozen=True)
-class GcdAtlas:
+class GcdAtlas(NamedTuple):
     """Complete divisor -> residues map for a square-free resultant."""
 
     squarefree = True
@@ -114,16 +112,14 @@ class GcdAtlas:
         }
 
 
-@dataclass(frozen=True)
-class ZeroResultant:
+class ZeroResultant(NamedTuple):
     """r = 0: f and g share a non-constant factor; the gcd range is infinite."""
 
     common_factor: IntPoly
     sample_values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GcdProfile:
+class GcdProfile(NamedTuple):
     """The gcd values over one period [0, modulus), without the values.
 
     ``histogram`` maps each value gcd(f(n), g(n)) to the number of n in the
@@ -140,8 +136,7 @@ class GcdProfile:
         return tuple(self.histogram)
 
 
-@dataclass(frozen=True)
-class NotSquarefree:
+class NotSquarefree(NamedTuple):
     """r != 0 but not square-free: no atlas, but an exact profile within cap.
 
     ``witness`` is an n with gcd(f(n), g(n)) = 1, or None when none exists;

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import decimal
 import io
-import json
 import re
 import sys
 
@@ -130,6 +128,8 @@ def _monic(text: str) -> MonicIntPoly:
         try:
             shown = f"is {poly.leading}"
         except ValueError:  # too long to print: name its digit count instead
+            import decimal  # imported here: only this message loads it
+
             shown = f"has {decimal.Decimal(poly.leading).adjusted() + 1} digits"
         raise InputError(f"{text!r} is not monic: leading coefficient {shown}, expected 1")
     return MonicIntPoly(poly.coeffs)
@@ -153,6 +153,8 @@ def _printed(subject: str):
 
 
 def _dump_json(obj) -> str:
+    import json  # imported here: only --json output loads it
+
     return json.dumps(obj, indent=2, sort_keys=True)
 
 

@@ -13,9 +13,9 @@ the atlas reads its generator.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._frozen import Frozen
 from .errors import InputError, InvariantBreach
 from .poly import IntPoly, _content, _pseudo_rem
 
@@ -28,22 +28,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Dense rectangular integer matrix; entries are row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = __match_args__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        rows, cols = operator.index(rows), operator.index(cols)
+        if rows < 1 or cols < 1:
             raise InputError("matrix dimensions must be positive")
-        entries = tuple(map(operator.index, self.entries))
-        if len(entries) != self.rows * self.cols:
+        entries = tuple(map(operator.index, entries))
+        if len(entries) != rows * cols:
             raise InputError(
-                f"expected {self.rows * self.cols} entries, got {len(entries)}"
+                f"expected {rows * cols} entries, got {len(entries)}"
             )
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
     @classmethod

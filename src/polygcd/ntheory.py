@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._frozen import Frozen
 from .errors import CapExceeded, FactorizationFailed, InputError
 
 __all__ = [
@@ -189,24 +189,24 @@ def _half(x: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Frozen):
     """Signed prime factorization: sign * prod(p**e) == n, primes ascending."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = __match_args__ = ("n", "factors")
 
-    def __post_init__(self):
-        if self.n == 0:
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
+        if n == 0:
             raise InputError("factorization needs a nonzero integer")
         product = self.sign
         previous = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= previous or e < 1:
                 raise InputError("primes must be strictly increasing, exponents >= 1")
             previous = p
             product *= p**e
-        if product != self.n:
+        if product != n:
             raise InputError("factor product does not reproduce the integer")
 
     @property

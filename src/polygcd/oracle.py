@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceeded, InputError
 from .linalg import resultant
@@ -24,8 +24,7 @@ __all__ = [
 BRUTE_FORCE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class BruteForceProfile:
+class BruteForceProfile(NamedTuple):
     """gcd(f(n), g(n)) tabulated for every n in [0, modulus)."""
 
     modulus: int

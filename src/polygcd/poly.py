@@ -15,10 +15,10 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
+from ._frozen import Frozen
 from .errors import CapExceeded, InputError, ParseError
 
 __all__ = [
@@ -39,14 +39,13 @@ MAX_DEGREE = 100
 MAX_COEFF_BITS = 2**14
 
 
-@dataclass(frozen=True, eq=False)
-class IntPoly:
+class IntPoly(Frozen):
     """Dense univariate polynomial over Z, coefficients leading-first."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = __match_args__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(map(operator.index, self.coeffs))
+    def __init__(self, coeffs: tuple[int, ...]):
+        coeffs = tuple(map(operator.index, coeffs))
         i = 0
         while i < len(coeffs) and coeffs[i] == 0:
             i += 1
@@ -73,6 +72,7 @@ class IntPoly:
             acc = acc * n + c
         return acc
 
+    # Unlike Frozen, equal to a MonicIntPoly with the same coefficients.
     def __eq__(self, other) -> bool:
         if isinstance(other, IntPoly):
             return self.coeffs == other.coeffs
@@ -151,7 +151,6 @@ class IntPoly:
         return " ".join(parts)
 
 
-@dataclass(frozen=True, eq=False)
 class MonicIntPoly(IntPoly):
     """An IntPoly whose leading coefficient is exactly 1 and degree is >= 1.
 
@@ -159,8 +158,10 @@ class MonicIntPoly(IntPoly):
     sums and products of monic polynomials need not be monic.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        super().__init__(coeffs)
         if self.degree < 1:
             raise InputError(
                 f"need degree >= 1, got degree {self.degree}"

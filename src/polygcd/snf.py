@@ -20,7 +20,7 @@ unique, d is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantBreach
 from .linalg import IntMatrix, det_bareiss
@@ -29,8 +29,7 @@ from .ntheory import ext_gcd
 __all__ = ["SnfResult", "smith_normal_form"]
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """Invariant factors d plus unimodular transforms with U*M*V = diag(d)."""
 
     d: tuple[int, ...]

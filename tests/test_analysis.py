@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -89,7 +88,7 @@ def test_analyze_not_squarefree_branch():
 )
 def test_derived_attributes_are_not_stored(cls, name):
     # Each is read from another field (or is constant), so it cannot disagree.
-    assert name not in {field.name for field in dataclasses.fields(cls)}
+    assert name not in cls.__match_args__
     assert hasattr(cls, name)
 
 

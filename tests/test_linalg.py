@@ -51,6 +51,21 @@ def test_matrix_rejects_non_integer_entries_instead_of_truncating(bad):
         IntMatrix(1, 2, (5, bad))
 
 
+@pytest.mark.parametrize("bad", [2.0, "2", Fraction(2)])
+def test_matrix_rejects_non_integer_dimensions_at_construction(bad):
+    # Not later, in det_bareiss or to_rows.
+    with pytest.raises(TypeError):
+        IntMatrix(bad, 2, (1, 2, 3, 4))
+    with pytest.raises(TypeError):
+        IntMatrix(2, bad, (1, 2, 3, 4))
+
+
+def test_matrix_accepts_bool_and_int_dimensions():
+    m = IntMatrix(True, 2, (3, 4))
+    assert (m.rows, m.cols) == (1, 2) and type(m.rows) is int
+    assert det_bareiss(IntMatrix(1, True, (7,))) == 7
+
+
 def test_matrix_accepts_bool_and_int_entries():
     m = IntMatrix.from_rows([[True, 2], [False, -(10**40)]])
     assert m.entries == (1, 2, 0, -(10**40))
