@@ -8,13 +8,14 @@ square M with every d_i != 0 from prod(d) = |det M| (then det U * det V
 = +-1), otherwise from the Bareiss determinants of U and V.  A failure
 raises InvariantBreach since it can only mean a bug.
 
-The algorithm is classic elimination to a diagonal using gcd row/column
-combinations, followed by a divisibility-fixing pass that replaces each
-offending diagonal pair (a, b) by (gcd, lcm) via unimodular moves.  Step
-t takes its pivot from column t, the smallest nonzero entry at or below
-row t, and searches the whole trailing submatrix only when that part of
-the column is zero: on Sylvester matrices this keeps the entries of U and
-V smaller than a search of the whole submatrix does.  U and V are not
+Elimination to a diagonal is one routine, which clears column t below the
+pivot by row steps: on (A, U), then on the transposed trailing block of A
+with V transposed, until row and column t are both clear.  A pass then
+replaces each diagonal pair (a, b) that breaks divisibility by (gcd, lcm).
+Step t pivots on the smallest nonzero entry of column t at or below row
+t, and searches the whole trailing submatrix only when that part of the
+column is zero: on Sylvester matrices this keeps the entries of U and V
+smaller than a search of the whole submatrix does.  U and V are not
 unique, d is.
 """
 from __future__ import annotations
@@ -41,8 +42,8 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
     """Smith normal form of any rectangular integer matrix."""
     rows, cols = matrix.rows, matrix.cols
     a = matrix.to_rows()
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    u = IntMatrix.identity(rows).to_rows()
+    vt = IntMatrix.identity(cols).to_rows()  # V transposed: column steps are its row steps
     size = min(rows, cols)
 
     for t in range(size):
@@ -50,47 +51,36 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
         if pivot is None:
             break
         pi, pj = pivot
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            _swap_cols(a, t, pj)
-            _swap_cols(v, t, pj)
+        a[t], a[pi] = a[pi], a[t]
+        u[t], u[pi] = u[pi], u[t]
+        vt[t], vt[pj] = vt[pj], vt[t]
+        for row in a[t:]:  # rows and columns before t are finished
+            row[t], row[pj] = row[pj], row[t]
         while True:
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    _clear_column_entry(a, u, t, i)
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    _clear_row_entry(a, v, t, j)
-            if all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
-                a[t][j] == 0 for j in range(t + 1, cols)
-            ):
+            _clear_column(a[t:], u[t:], t)
+            if not any(a[t][t + 1 :]):
                 break
-
-    d = [a[i][i] for i in range(size)]
-    for i in range(size):
-        if d[i] < 0:
-            d[i] = -d[i]
-            u[i] = [-x for x in u[i]]
+            block = [list(col) for col in zip(*(row[t:] for row in a[t:]))]
+            _clear_column(block, vt[t:], 0)
+            for row, col in zip(a[t:], zip(*block)):
+                row[t:] = col
+        if a[t][t] < 0:  # row t of u is final now
+            u[t] = [-x for x in u[t]]
+    d = [abs(a[i][i]) for i in range(size)]
 
     # Divisibility fix: after the pass over pair (i, j), d[i] divides every
     # later entry, and later passes only shrink d[i] further.
     for i in range(size):
         for j in range(i + 1, size):
             da, db = d[i], d[j]
-            if da == 0 and db == 0:
-                continue
-            if da != 0 and db % da == 0:
+            if da == 0 or db % da == 0:  # zeros only trail, so db = 0 too
                 continue
             g, x, y = ext_gcd(da, db)
             _combine_rows(u, i, j, x, y, -(db // g), da // g)
-            _combine_cols(v, i, j, 1, -(y * db // g), 1, x * da // g)
+            _combine_rows(vt, i, j, 1, 1, -(y * db // g), x * da // g)
             d[i], d[j] = g, da * db // g
 
-    result = SnfResult(
-        tuple(d), IntMatrix.from_rows(u), IntMatrix.from_rows(v)
-    )
+    result = SnfResult(tuple(d), IntMatrix.from_rows(u), IntMatrix.from_rows(zip(*vt)))
     _verify(matrix, result)
     return result
 
@@ -105,54 +95,32 @@ def _smallest_nonzero(a, t, rows, cols):
     return None
 
 
-def _swap_cols(mat, j1, j2):
-    for row in mat:
-        row[j1], row[j2] = row[j2], row[j1]
+def _clear_column(a, u, c):
+    # Zero a[i][c] for every i > 0 by unimodular combinations of rows 0 and
+    # i, applied to a from column c on and to the same rows of u.
+    for i in range(1, len(a)):
+        pivot, entry = a[0][c], a[i][c]
+        if not entry:
+            continue
+        if entry % pivot == 0:
+            w, x, y, z = 1, 0, -(entry // pivot), 1
+        else:
+            g, w, x = ext_gcd(pivot, entry)
+            y, z = -(entry // g), pivot // g
+        _combine_rows(a, 0, i, w, x, y, z, c)
+        _combine_rows(u, 0, i, w, x, y, z)
 
 
-def _combine_rows(mat, i, j, w, x, y, z):
+def _combine_rows(mat, i, j, w, x, y, z, start=0):
     # rows i, j <- (w*row_i + x*row_j, y*row_i + z*row_j); wz - xy = +-1.
     ri, rj = mat[i], mat[j]
-    for k in range(len(ri)):
+    if (w, x, z) == (1, 0, 1):  # row_j += y*row_i alone
+        for k in range(start, len(ri)):
+            if ri[k]:
+                rj[k] += y * ri[k]
+        return
+    for k in range(start, len(ri)):
         ri[k], rj[k] = w * ri[k] + x * rj[k], y * ri[k] + z * rj[k]
-
-
-def _combine_cols(mat, i, j, w, x, y, z):
-    # cols i, j <- (w*col_i + y*col_j, x*col_i + z*col_j) for column matrix
-    # [[w, x], [y, z]] applied on the right; wz - xy = +-1.
-    for row in mat:
-        row[i], row[j] = w * row[i] + y * row[j], x * row[i] + z * row[j]
-
-
-def _clear_column_entry(a, u, t, i):
-    # Zero a[i][t] with a unimodular combination of rows t and i.
-    pivot, entry = a[t][t], a[i][t]
-    if pivot != 0 and entry % pivot == 0:
-        q = entry // pivot
-        for mat in (a, u):
-            rt, ri = mat[t], mat[i]
-            for k in range(len(ri)):
-                ri[k] -= q * rt[k]
-        return
-    g, x, y = ext_gcd(pivot, entry)
-    w, xx, yy, zz = x, y, -(entry // g), pivot // g
-    _combine_rows(a, t, i, w, xx, yy, zz)
-    _combine_rows(u, t, i, w, xx, yy, zz)
-
-
-def _clear_row_entry(a, v, t, j):
-    # Zero a[t][j] with a unimodular combination of columns t and j.
-    pivot, entry = a[t][t], a[t][j]
-    if pivot != 0 and entry % pivot == 0:
-        q = entry // pivot
-        for mat in (a, v):
-            for row in mat:
-                row[j] -= q * row[t]
-        return
-    g, x, y = ext_gcd(pivot, entry)
-    # Column matrix [[x, -(entry//g)], [y, pivot//g]]: col_t <- x*col_t + y*col_j.
-    _combine_cols(a, t, j, x, -(entry // g), y, pivot // g)
-    _combine_cols(v, t, j, x, -(entry // g), y, pivot // g)
 
 
 def _verify(matrix: IntMatrix, result: SnfResult) -> None:

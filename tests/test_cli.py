@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -880,3 +881,53 @@ def test_cli_output_matches_the_golden_digest():
     # witness, period and resultant --verify on 400 acceptance-pool pairs
     # with |r| <= 10^4 and 20 stress-family pairs, byte for byte.
     assert golden_digest() == GOLDEN_SHA256
+
+
+# The Sylvester matrices of x^k + 9 against (x+1)^k + 9 for k = 5..17, and
+# of x^17 + 5: a = 2 (mod 3) gives U and V entries of 12 000 to 43 000 bits.
+SNF_GOLDEN_FAMILY = [(k, 9) for k in range(5, 18)] + [(17, 5)]
+SNF_GOLDEN_COMMANDS = [(), ("--transforms",), ("--json", "--transforms")]
+# sha256 of every SNF_GOLDEN_COMMANDS line on every snf_golden_matrices()
+# input, together with d, U and V in hex (hex has no digit limit, so the
+# transforms too long for the CLI to print are pinned as well).
+SNF_GOLDEN_SHA256 = "e5a514316baeab9c2c6351b7b671c6e8ac32f123521608fbf63846083af3552f"
+
+
+def snf_golden_matrices():
+    family = [
+        polygcd.sylvester_matrix(MonicIntPoly.parse(f"x^{k}+{a}"), MonicIntPoly.parse(f"(x+1)^{k}+{a}")).to_rows()
+        for k, a in SNF_GOLDEN_FAMILY
+    ]
+    rng = random.Random(2016)
+    randoms = []
+    for n in range(200):
+        height, width = rng.randint(1, 8), rng.randint(1, 8)
+        rows = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(height)]
+        if n % 4 == 0 and height > 1:  # singular: one row a multiple of another
+            rows[-1] = [3 * x for x in rows[0]]
+        randoms.append(rows)
+    return family + randoms
+
+
+def snf_golden_digest(monkeypatch) -> str:
+    digest = hashlib.sha256()
+    for rows in snf_golden_matrices():
+        text = "\n".join(" ".join(map(str, row)) for row in rows) + "\n"
+        for flags in SNF_GOLDEN_COMMANDS:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(["snf", *flags])
+            record = "\0".join([text, *flags, str(status), out.getvalue(), err.getvalue()])
+            digest.update(record.encode() + b"\n")
+        result = polygcd.smith_normal_form(polygcd.IntMatrix.from_rows(rows))
+        hexed = [list(result.d), *result.U.to_rows(), *result.V.to_rows()]
+        digest.update(" ".join(hex(x) for row in hexed for x in row).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_snf_output_matches_the_golden_digest(monkeypatch):
+    # snf, snf --transforms and snf --json --transforms on 14 Sylvester
+    # matrices and 200 random ones (1-8 rows and columns, a quarter of them
+    # singular), byte for byte, and d, U and V of each.
+    assert snf_golden_digest(monkeypatch) == SNF_GOLDEN_SHA256

@@ -259,3 +259,27 @@ def test_exactly_one_factor_divisible_when_p_divides_det_once():
                 assert sum(1 for x in d if x % p == 0) == 1
                 assert d[-1] % p == 0
                 found += 1
+
+
+# ---------------------------------------------------------------------------
+# Differential test against sympy
+# ---------------------------------------------------------------------------
+
+
+def _sympy_matrices():
+    family = [
+        sylvester_matrix(MonicIntPoly.parse(f"x^{k}{a:+d}"), MonicIntPoly.parse(f"(x+1)^{k}{a:+d}"))
+        for k in range(2, 13)
+        for a in (-2, 1, 9)
+    ]
+    rng = random.Random(1914)
+    return family + [random_matrix(rng, max_dim=6, bound=20) for _ in range(100)]
+
+
+def test_nonzero_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
+
+    for m in _sympy_matrices():
+        expected = sympy_invariant_factors(sympy.Matrix(m.to_rows()), domain=sympy.ZZ)
+        assert [x for x in smith_normal_form(m).d if x] == [int(x) for x in expected if x]
