@@ -18,7 +18,6 @@ from .analysis import (
 from .errors import (
     CapExceeded,
     CriterionInapplicable,
-    FactorizationFailed,
     InputError,
     InvariantBreach,
     ParseError,
@@ -52,7 +51,6 @@ __all__ = [
     "CriterionInapplicable",
     "DIVISOR_CAP",
     "Factorization",
-    "FactorizationFailed",
     "GcdAtlas",
     "GcdProfile",
     "InputError",

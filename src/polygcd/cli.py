@@ -31,7 +31,6 @@ from .analysis import (
 from .errors import (
     CapExceeded,
     CriterionInapplicable,
-    FactorizationFailed,
     InputError,
     InvariantBreach,
 )
@@ -402,7 +401,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CapExceeded, FactorizationFailed) as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantBreach as exc:

@@ -22,7 +22,7 @@ class InputError(PolyGcdError, ValueError):
 
 
 class CapExceeded(PolyGcdError, RuntimeError):
-    """A configured work cap (brute-force period, divisor count) was exceeded."""
+    """A work cap (brute-force period, divisor count, rho budget) was exceeded."""
 
 
 class CriterionInapplicable(PolyGcdError):
@@ -36,10 +36,6 @@ class CriterionInapplicable(PolyGcdError):
     def __init__(self, prime: int):
         super().__init__(f"criterion inapplicable: {prime}^{prime} divides the resultant")
         self.prime = prime
-
-
-class FactorizationFailed(PolyGcdError, RuntimeError):
-    """Pollard rho exhausted its retry budget without splitting a composite."""
 
 
 class InvariantBreach(PolyGcdError, RuntimeError):

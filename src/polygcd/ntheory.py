@@ -11,7 +11,9 @@ by its exact integer root before Pollard rho, and every copy of a prime
 found is divided out before the next search.  Pollard rho draws its
 starting points from one generator with a fixed seed, ``POLLARD_SEED``;
 a factorization is unique, so the seed only picks which random walk
-finds the primes, and every run takes the same walk.
+finds the primes, and every run takes the same walk.  All rho walks of
+one factor call share the work budget ``RHO_BUDGET``; a call that would
+exceed it raises CapExceeded.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import random
 from typing import Iterable
 
 from ._frozen import Frozen
-from .errors import CapExceeded, FactorizationFailed, InputError
+from .errors import CapExceeded, InputError
 
 __all__ = [
     "MR_DETERMINISTIC_BOUND",
@@ -39,8 +41,12 @@ MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 DIVISOR_CAP = 2**20
-POLLARD_MAX_ATTEMPTS = 20
 POLLARD_SEED = 0
+
+# Pollard rho's work budget per factor call, in steps on a cofactor of a
+# few hundred bits (about a microsecond each).  A step on an m-bit cofactor
+# counts 1 + (m/400)^2 of them, as its multiplications cost.
+RHO_BUDGET = 10**7
 
 
 def _sieve(limit: int) -> tuple[int, ...]:
@@ -190,7 +196,8 @@ def _half(x: int, n: int) -> int:
 
 
 class Factorization(Frozen):
-    """Signed prime factorization: sign * prod(p**e) == n, primes ascending."""
+    """Signed prime factorization: sign * prod(p**e) == n, primes ascending,
+    each p checked by is_prime."""
 
     __slots__ = __match_args__ = ("n", "factors")
 
@@ -204,6 +211,8 @@ class Factorization(Frozen):
         for p, e in factors:
             if p <= previous or e < 1:
                 raise InputError("primes must be strictly increasing, exponents >= 1")
+            if not is_prime(p):
+                raise InputError("every factor must be prime")
             previous = p
             product *= p**e
         if product != n:
@@ -252,11 +261,14 @@ def _trial_divide(m: int) -> tuple[dict[int, int], int]:
 def _distinct_primes(m: int) -> set[int]:
     # The primes of m >= 1, which is 1, a prime, or has no prime factor
     # below 1000.  Each piece loses the copies of every prime found so far
-    # before it is tested, root-split or searched.  rng is made at the first
-    # rho, since seeding it costs more than factoring a small m.
+    # before it is root-split, tested or searched: a root costs less than a
+    # primality test of the power (0.5 s against 10 s for a 16 000-bit
+    # square).  rng is made at the first rho, since seeding it costs more
+    # than factoring a small m.
     primes: set[int] = set()
     pieces = [m]
     rng = None
+    budget = RHO_BUDGET
     while pieces:
         piece = pieces.pop()
         for p in primes:
@@ -264,16 +276,16 @@ def _distinct_primes(m: int) -> set[int]:
                 piece //= p
         if piece == 1:
             continue
-        if is_prime(piece):
-            primes.add(piece)
-            continue
         root = _perfect_power_root(piece)
         if root is not None:
             pieces.append(root)
             continue
+        if is_prime(piece):
+            primes.add(piece)
+            continue
         if rng is None:
             rng = random.Random(POLLARD_SEED)
-        d = _pollard_brent(piece, rng)
+        d, budget = _pollard_brent(piece, rng, budget)
         pieces += [piece // d, d]
     return primes
 
@@ -301,9 +313,21 @@ def _iroot(m: int, k: int) -> int:
         x = y
 
 
-def _pollard_brent(n: int, rng: random.Random) -> int:
-    # A nontrivial factor of odd composite n.
-    for _ in range(POLLARD_MAX_ATTEMPTS):
+def _pollard_brent(n: int, rng: random.Random, budget: float) -> tuple[int, float]:
+    # A nontrivial factor of odd composite n, and what is left of budget
+    # once its steps are paid for, each at 1 + (bits of n / 400)^2.
+    weight = 1 + (n.bit_length() / 400) ** 2
+
+    def spend(steps):
+        nonlocal budget
+        budget -= steps * weight
+        if budget < 0:
+            raise CapExceeded(
+                f"Pollard rho did not split a {_digit_count(n)}-digit cofactor"
+                f" within its work budget of {RHO_BUDGET} steps"
+            )
+
+    while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
@@ -311,11 +335,13 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
         x = ys = y
         while g == 1:
             x = y
+            spend(r)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
+                spend(min(m, r - k))
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
@@ -324,14 +350,20 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
             r <<= 1
         if g == n:
             g = 1
+            spend(m)  # the backtrack repeats at most one batch
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = math.gcd(x - ys, n)
         if 1 < g < n:
-            return g
-    raise FactorizationFailed(
-        f"pollard rho gave up after {POLLARD_MAX_ATTEMPTS} attempts on {n}"
-    )
+            return g, budget
+
+
+def _digit_count(n: int) -> int:
+    # Decimal digits of n > 0, without str(), which refuses more than 4300.
+    k = int(math.log10(n))
+    k += n >= 10 ** (k + 1)
+    k -= n < 10**k
+    return k + 1
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ def test_not_squarefree_report_names_the_prime_dividing_every_value(capsys):
     "f_text, g_text",
     [
         ("x^17+9", "(x+1)^17+9"),
-        # r = (2^8000 - 3)^2: rho would not split it in hours
+        # r = (2^8000 - 3)^2: factoring it runs out of rho's work budget
         ("x^2+2^8000", "x^2+3"),
     ],
 )
@@ -262,6 +262,19 @@ def test_period(capsys):
     status, out, _ = run_cli(capsys, "period", "--f", "x^2-1", "--g", "x^2+1")
     assert status == 0
     assert out.strip() == "2"
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["period", "--cap-brute", str(10**13)]])
+def test_rho_out_of_budget_exits_2(capsys, monkeypatch, command):
+    # r = 1000003 * 1000033, which rho splits in about 1500 steps.
+    argv = [*command, "--f", "x", "--g", "x+1000003*1000033"]
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(polygcd.ntheory, "RHO_BUDGET", 100)
+    assert run_cli(capsys, *argv) == (
+        2,
+        "",
+        "error: Pollard rho did not split a 13-digit cofactor within its work budget of 100 steps\n",
+    )
 
 
 # ---------------------------------------------------------------------------

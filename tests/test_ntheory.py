@@ -17,7 +17,7 @@ from polygcd import (
     is_squarefree,
     resultant_prs,
 )
-from polygcd.errors import InputError
+from polygcd.errors import CapExceeded, InputError
 from polygcd.ntheory import MR_DETERMINISTIC_BOUND, _baillie_psw
 
 from support import int_gcd
@@ -164,9 +164,9 @@ def rho_calls(monkeypatch):
     calls = []
     search = polygcd.ntheory._pollard_brent
 
-    def counting(n, rng):
+    def counting(n, *args):
         calls.append(n)
-        return search(n, rng)
+        return search(n, *args)
 
     monkeypatch.setattr(polygcd.ntheory, "_pollard_brent", counting)
     return calls
@@ -204,7 +204,7 @@ def test_factor_searches_each_prime_once(rho_calls, n, expected, max_rho_calls):
 def test_factor_splits_a_prime_power_without_rho(monkeypatch, n, expected):
     # Rho would need about sqrt(10^30) steps for the first two, so a call
     # fails at once instead of hanging.
-    def no_rho(cofactor, rng):
+    def no_rho(cofactor, *args):
         raise AssertionError(f"rho called on {cofactor}")
 
     monkeypatch.setattr(polygcd.ntheory, "_pollard_brent", no_rho)
@@ -243,6 +243,52 @@ def test_factorization_validates_itself():
         Factorization(12, ((2, 1), (3, 1)))  # product is 6, not 12
     with pytest.raises(InputError):
         Factorization(6, ((3, 1), (2, 1)))  # primes out of order
+
+
+@pytest.mark.parametrize(
+    "n, factors",
+    [(4, ((4, 1),)), (12, ((2, 1), (6, 1)))],
+    ids=["4^1", "2*6"],
+)
+def test_factorization_refuses_a_factor_that_is_not_prime(n, factors):
+    # Both once constructed: 4^1 passed as square-free, and the divisors of
+    # 2*6 came out as [1, 2, 6, 12], without 3 and 4.
+    with pytest.raises(InputError, match="every factor must be prime"):
+        Factorization(n, factors)
+
+
+SEMIPRIME = 1000003 * 1000033  # rho splits it in about 1500 steps
+
+
+def test_rho_budget_is_shared_and_raises_cap_exceeded(monkeypatch):
+    spent = []
+    search = polygcd.ntheory._pollard_brent
+
+    def recording(n, rng, budget):
+        d, left = search(n, rng, budget)
+        spent.append(budget - left)
+        return d, left
+
+    budget = polygcd.ntheory.RHO_BUDGET
+    monkeypatch.setattr(polygcd.ntheory, "_pollard_brent", recording)
+    assert factor(SEMIPRIME).factors == ((1000003, 1), (1000033, 1))
+    (needed,) = spent
+    assert 0 < needed < polygcd.ntheory.RHO_BUDGET
+    monkeypatch.setattr(polygcd.ntheory, "RHO_BUDGET", needed // 2)
+    with pytest.raises(CapExceeded) as exc:
+        factor(SEMIPRIME)
+    assert str(exc.value) == (
+        f"Pollard rho did not split a 13-digit cofactor within its work budget of {needed // 2} steps"
+    )
+    # The rho calls of one factor call share the budget: each would fit in
+    # it alone, all of them do not.
+    monkeypatch.setattr(polygcd.ntheory, "RHO_BUDGET", budget)
+    spent.clear()
+    n = SEMIPRIME * 1000037 * 1000039
+    assert len(factor(n).factors) == 4 and len(spent) >= 2
+    monkeypatch.setattr(polygcd.ntheory, "RHO_BUDGET", max(spent) + 1)
+    with pytest.raises(CapExceeded):
+        factor(n)
 
 
 # ---------------------------------------------------------------------------
