@@ -231,6 +231,7 @@ def factor(n: int) -> Factorization:
 
     Trial division by the primes below 1000, then Brent's variant of
     Pollard rho on the cofactor; every reported prime passes is_prime.
+    Raises CapExceeded when rho would need more than RHO_BUDGET.
     """
     if n == 0:
         raise InputError("0 has no prime factorization")
@@ -359,7 +360,7 @@ def _pollard_brent(n: int, rng: random.Random, budget: float) -> tuple[int, floa
 
 
 def _digit_count(n: int) -> int:
-    # Decimal digits of n > 0, without str(), which refuses more than 4300.
+    # Decimal digits of n > 0, without str(), which refuses over 4300 by default.
     k = int(math.log10(n))
     k += n >= 10 ** (k + 1)
     k -= n < 10**k
