@@ -323,9 +323,11 @@ def _pollard_brent(n: int, rng: random.Random, budget: float) -> tuple[int, floa
         nonlocal budget
         budget -= steps * weight
         if budget < 0:
+            import decimal  # imported here: only this message loads it
+
             raise CapExceeded(
-                f"Pollard rho did not split a {_digit_count(n)}-digit cofactor"
-                f" within its work budget of {RHO_BUDGET} steps"
+                f"Pollard rho did not split a {decimal.Decimal(n).adjusted() + 1}-digit"
+                f" cofactor within its work budget of {RHO_BUDGET} steps"
             )
 
     while True:
@@ -357,14 +359,6 @@ def _pollard_brent(n: int, rng: random.Random, budget: float) -> tuple[int, floa
                 g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g, budget
-
-
-def _digit_count(n: int) -> int:
-    # Decimal digits of n > 0, without str(), which refuses over 4300 by default.
-    k = int(math.log10(n))
-    k += n >= 10 ** (k + 1)
-    k -= n < 10**k
-    return k + 1
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def test_period(capsys):
 
 @pytest.mark.parametrize("command", [["analyze"], ["period", "--cap-brute", str(10**13)]])
 def test_rho_out_of_budget_exits_2(capsys, monkeypatch, command):
-    # r = 1000003 * 1000033, which rho splits in about 1500 steps.
+    # r = 1000003 * 1000033, which rho splits in about 3400 steps.
     argv = [*command, "--f", "x", "--g", "x+1000003*1000033"]
     assert run_cli(capsys, *argv)[0] == 0
     monkeypatch.setattr(polygcd.ntheory, "RHO_BUDGET", 100)

@@ -257,7 +257,7 @@ def test_factorization_refuses_a_factor_that_is_not_prime(n, factors):
         Factorization(n, factors)
 
 
-SEMIPRIME = 1000003 * 1000033  # rho splits it in about 1500 steps
+SEMIPRIME = 1000003 * 1000033  # rho splits it in about 3400 steps
 
 
 def test_rho_budget_is_shared_and_raises_cap_exceeded(monkeypatch):
