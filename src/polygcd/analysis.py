@@ -12,15 +12,16 @@ the residues realizing d are the n = c mod d with gcd((n - c)/d, |r|/d) = 1.
 
 Otherwise ``analyze`` reports what it can: a zero resultant comes back with
 the common factor in Z[x]; a non-square-free one with an n realizing gcd 1,
-or the prime that rules one out, found from gcds with r without factoring
-it, and, when |r| is within the brute-force cap, an exact profile of one
-period.  The profile convolves one local table per p^e, the closed form of
-gcd(n - c, p^e) when p does not divide s1 and a root-lifting tree when it
-does, and its minimal period, which ``minimal_period`` returns for any
-nonzero r, is the product of the local ones.  Under ``verify`` r is checked
-against the Bareiss determinant, each c mod p against the common root of a
-gcd in F_p[x], and the atlas or the profile and the witness verdict
-against the brute-force oracle.
+or the prime that rules one out, found from gcds with the parts of r (as
+``coprime_witness`` finds it without factoring r), and, when |r| is within
+the brute-force cap, an exact profile of one period.  The profile
+convolves one local table per p^e, the closed form of gcd(n - c, p^e) when
+p does not divide s1 and a root-lifting tree when it does, and its minimal
+period, which ``minimal_period`` returns for any nonzero r, is the product
+of the local ones.  Under ``verify`` one pass after the outcome is built
+checks r against the Bareiss determinant, each c mod p against the common
+root of a gcd in F_p[x], and the atlas or the profile and the witness
+verdict against the brute-force oracle.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .linalg import _subresultant_resultant, resultant
 from .modp import common_root_mod_p
 from .ntheory import DIVISOR_CAP, Factorization, divisors, factor, is_squarefree, crt
 from .ntheory import _TRIAL_DIVISION_BOUND, _trial_divide
-from .oracle import BRUTE_FORCE_CAP, BruteForceProfile, _check_period_cap, brute_force_profile
+from .oracle import BRUTE_FORCE_CAP, _check_period_cap, brute_force_profile
 from .poly import IntPoly, MonicIntPoly, gcd_over_Z
 
 __all__ = [
@@ -178,32 +179,80 @@ def analyze(
     verdict against the brute-force oracle.
     """
     r, (s1, s0) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
-    if verify:
-        resultant(f, g, verify=True)  # the Bareiss determinant against the PRS
     if r == 0:
-        common = gcd_over_Z(f, g)
-        samples = tuple(
-            math.gcd(f.evaluate(n), g.evaluate(n)) for n in range(8)
-        )
-        return ZeroResultant(common_factor=common, sample_values=samples)
-    fact = factor(r)
-    if not is_squarefree(fact):
-        try:
-            witness, common_prime = coprime_witness(f, g, r), None
-        except CriterionInapplicable as exc:
-            witness, common_prime = None, exc.prime
-        profile = _gcd_profile(f, g, fact, s1) if abs(r) <= brute_cap else None
-        if verify and profile is not None:
-            oracle = brute_force_profile(f, g, cap=brute_cap)
-            _cross_check_profile(profile, oracle)
-            _cross_check_witness(witness, common_prime, oracle)
-        return NotSquarefree(fact, profile, witness, common_prime)
-    atlas = build_atlas(f, g, fact, s1, s0, residue_cap=residue_cap, divisor_cap=divisor_cap)
+        samples = tuple(math.gcd(f.evaluate(n), g.evaluate(n)) for n in range(8))
+        outcome = ZeroResultant(gcd_over_Z(f, g), samples)
+    else:
+        fact = factor(r)
+        if is_squarefree(fact):
+            outcome = build_atlas(
+                f, g, fact, s1, s0, residue_cap=residue_cap, divisor_cap=divisor_cap
+            )
+        else:
+            # What trial division would leave to place: each prime below
+            # 1000 once, and the cofactor of the larger ones whole.
+            unplaced = math.prod(
+                p if p < _TRIAL_DIVISION_BOUND else p**e for p, e in fact.factors
+            )
+            witness, common_prime = _place_witness(f, g, r, unplaced)
+            profile = _gcd_profile(f, g, fact, s1) if abs(r) <= brute_cap else None
+            outcome = NotSquarefree(fact, profile, witness, common_prime)
     if verify:
-        _cross_check_roots(atlas)
-        if abs(r) <= brute_cap:
-            _cross_check_atlas(atlas, brute_force_profile(f, g, cap=brute_cap))
-    return atlas
+        _verify(f, g, outcome, brute_cap)
+    return outcome
+
+
+def _verify(f: MonicIntPoly, g: MonicIntPoly, outcome: AnalysisOutcome, brute_cap: int):
+    # Every check of analyze(verify=True); the first disagreement raises.
+    resultant(f, g, verify=True)  # the Bareiss determinant against the PRS
+    if isinstance(outcome, ZeroResultant):
+        return
+    if isinstance(outcome, GcdAtlas):
+        # A gcd in F_p[x] finds each root apart from the chain, at any size of p.
+        for p, c in outcome.roots.items():
+            c_p = common_root_mod_p(f, g, p)
+            if c_p != c:
+                raise InvariantBreach(
+                    f"common root mod {p}: the subresultant gives {c},"
+                    f" the gcd mod {p} gives {c_p}"
+                )
+    if abs(outcome.resultant) > brute_cap:
+        return
+    oracle = brute_force_profile(f, g, cap=brute_cap)
+    if isinstance(outcome, GcdAtlas):
+        if outcome.multiplicity_histogram() != oracle.histogram:
+            raise InvariantBreach("atlas multiplicities disagree with the brute-force oracle")
+        by_value = oracle.residues_by_value()
+        for entry in outcome.entries:
+            expected = by_value.get(entry.divisor, ())
+            if entry.truncated:
+                if entry.residues != expected[: len(entry.residues)]:
+                    raise InvariantBreach(
+                        f"listed residues for divisor {entry.divisor} disagree with the oracle"
+                    )
+            elif entry.residues != expected:
+                raise InvariantBreach(
+                    f"residues for divisor {entry.divisor} disagree with the oracle"
+                )
+        return
+    profile = outcome.profile
+    if (profile.modulus, profile.histogram, profile.gcd_range) != (
+        oracle.modulus,
+        oracle.histogram,
+        oracle.gcd_range,
+    ):
+        raise InvariantBreach("the gcd profile disagrees with the brute-force oracle")
+    if profile.period != oracle.minimal_period():
+        raise InvariantBreach(
+            f"minimal period {profile.period} disagrees with the brute-force oracle"
+        )
+    # A witness exactly when 1 is a value; without one, the prime divides every value.
+    if outcome.witness is not None:
+        holds = 1 in oracle.histogram
+    else:
+        holds = all(v % outcome.common_prime == 0 for v in oracle.gcd_range)
+    if not holds:
+        raise InvariantBreach("the coprime-witness verdict disagrees with the brute-force oracle")
 
 
 def build_atlas(
@@ -263,34 +312,6 @@ def _atlas_entry(
         if math.gcd((n - c) // d, cofactor) == 1:
             residues.append(n)
     return AtlasEntry(d, multiplicity, tuple(residues))
-
-
-def _cross_check_roots(atlas: GcdAtlas) -> None:
-    # A gcd in F_p[x] finds each root apart from the chain, at any size of p.
-    for p, c in atlas.roots.items():
-        c_p = common_root_mod_p(atlas.f, atlas.g, p)
-        if c_p != c:
-            raise InvariantBreach(
-                f"common root mod {p}: the subresultant gives {c},"
-                f" the gcd mod {p} gives {c_p}"
-            )
-
-
-def _cross_check_atlas(atlas: GcdAtlas, profile: BruteForceProfile) -> None:
-    if atlas.multiplicity_histogram() != profile.histogram:
-        raise InvariantBreach("atlas multiplicities disagree with the brute-force oracle")
-    by_value = profile.residues_by_value()
-    for entry in atlas.entries:
-        expected = by_value.get(entry.divisor, ())
-        if entry.truncated:
-            if entry.residues != expected[: len(entry.residues)]:
-                raise InvariantBreach(
-                    f"listed residues for divisor {entry.divisor} disagree with the oracle"
-                )
-        elif entry.residues != expected:
-            raise InvariantBreach(
-                f"residues for divisor {entry.divisor} disagree with the oracle"
-            )
 
 
 def _gcd_profile(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization, s1: int) -> GcdProfile:
@@ -354,29 +375,6 @@ def _local_table(
     return histogram, p**period_exponent
 
 
-def _cross_check_profile(profile: GcdProfile, oracle: BruteForceProfile) -> None:
-    if (profile.modulus, profile.histogram, profile.gcd_range) != (
-        oracle.modulus,
-        oracle.histogram,
-        oracle.gcd_range,
-    ):
-        raise InvariantBreach("the gcd profile disagrees with the brute-force oracle")
-    if profile.period != oracle.minimal_period():
-        raise InvariantBreach(
-            f"minimal period {profile.period} disagrees with the brute-force oracle"
-        )
-
-
-def _cross_check_witness(witness: int | None, prime: int | None, oracle: BruteForceProfile) -> None:
-    # A witness exactly when 1 is a value; without one, prime divides every value.
-    if witness is not None:
-        holds = 1 in oracle.histogram
-    else:
-        holds = all(v % prime == 0 for v in oracle.gcd_range)
-    if not holds:
-        raise InvariantBreach("the coprime-witness verdict disagrees with the brute-force oracle")
-
-
 def minimal_period(
     f: MonicIntPoly, g: MonicIntPoly, *, cap: int = BRUTE_FORCE_CAP
 ) -> int:
@@ -394,9 +392,9 @@ def minimal_period(
     return _gcd_profile(f, g, factor(r), s1).period
 
 
-def coprime_witness(f: MonicIntPoly, g: MonicIntPoly, r: int) -> int:
-    """An integer n with gcd(f(n), g(n)) = 1, from the nonzero resultant r
-    of (f, g) and gcds alone: r is never factored.
+def coprime_witness(f: MonicIntPoly, g: MonicIntPoly) -> int:
+    """An integer n with gcd(f(n), g(n)) = 1, from the resultant r of (f, g)
+    and gcds alone: r is never factored.
 
     A prime q | r divides gcd(f(n), g(n)) for at most m = min(deg f, deg g)
     residues n mod q, unless q <= m and it divides every value.  So for
@@ -407,13 +405,26 @@ def coprime_witness(f: MonicIntPoly, g: MonicIntPoly, r: int) -> int:
     naming the smallest prime p <= m that divides every value; then p^p
     divides r (the paper's criterion) and no witness exists.
     """
+    m = min(f.degree, g.degree)
+    if m >= _TRIAL_DIVISION_BOUND:  # refused before the walk
+        raise InputError(f"coprime_witness needs min(deg f, deg g) < 1000, got {m}")
+    r = resultant(f, g)
     if r == 0:
         raise InputError("resultant is zero: the witness criterion needs r != 0")
-    m = min(f.degree, g.degree)
-    if m >= _TRIAL_DIVISION_BOUND:  # a prime of the cofactor could be <= m
-        raise InputError(f"coprime_witness needs min(deg f, deg g) < 1000, got {m}")
     small, rest = _trial_divide(abs(r))
-    unplaced = math.prod(small) * rest
+    witness, prime = _place_witness(f, g, r, math.prod(small) * rest)
+    if witness is None:
+        raise CriterionInapplicable(prime)
+    return witness
+
+
+def _place_witness(
+    f: MonicIntPoly, g: MonicIntPoly, r: int, unplaced: int
+) -> tuple[int, None] | tuple[None, int]:
+    """(n, None) with gcd(f(n), g(n)) = 1, or (None, p) naming the smallest
+    prime p that divides every value.  ``unplaced`` is a product of powers
+    of exactly the primes of r, and the witness n lies in [0, unplaced)."""
+    m = min(f.degree, g.degree)
     congruences = []
     n = 0
     while unplaced > 1 and n <= m:
@@ -423,17 +434,16 @@ def coprime_witness(f: MonicIntPoly, g: MonicIntPoly, r: int) -> int:
             unplaced //= part
         n += 1
     if unplaced > 1:
-        # Its primes divide every value, so they are <= m: primes below 1000, or
-        # the one prime trial division left when it stopped at p^2 > rest.  Then
-        # f and g share the p roots of x^p - x mod p, which forces p^p | r.
-        p = min((p for p in small if unplaced % p == 0), default=unplaced)
+        # Its primes divide every value, so they are <= m.  Then f and g
+        # share the p roots of x^p - x mod p, which forces p^p | r.
+        p = next((q for q in range(2, m + 1) if unplaced % q == 0), unplaced)
         if p > m or r % p**p:
             raise InvariantBreach(f"the prime {p} divides every gcd value, yet not p^p | r")
-        raise CriterionInapplicable(p)
+        return None, p
     witness = crt(congruences)[0]
     if math.gcd(f.evaluate(witness), g.evaluate(witness)) != 1:
         raise InvariantBreach("coprime witness failed its own verification")
-    return witness
+    return witness, None
 
 
 def _coprime_part(a: int, v: int) -> int:

@@ -120,18 +120,11 @@ def _period_args(p):
 
 
 def _monic(text: str) -> MonicIntPoly:
-    poly = parse_poly(text)
-    if poly.degree < 1:
-        raise InputError(f"{text!r} expands to degree {poly.degree}; need degree >= 1")
-    if poly.leading != 1:
-        try:
-            shown = f"is {poly.leading}"
-        except ValueError:  # too long to print: name its digit count instead
-            import decimal  # imported here: only this message loads it
-
-            shown = f"has {decimal.Decimal(poly.leading).adjusted() + 1} digits"
-        raise InputError(f"{text!r} is not monic: leading coefficient {shown}, expected 1")
-    return MonicIntPoly(poly.coeffs)
+    coeffs = parse_poly(text).coeffs
+    try:
+        return MonicIntPoly(coeffs)
+    except InputError as exc:
+        raise InputError(f"{text!r} {exc}") from None
 
 
 @contextlib.contextmanager
@@ -174,14 +167,12 @@ def _prime_note(p: int) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    f = _monic(args.f)
-    g = _monic(args.g)
     # The text report prints every residue listed, at most PREVIEW per
     # divisor, and adds "..." when an entry is truncated.
     residue_cap = args.cap_residues if args.json else min(args.cap_residues, PREVIEW)
     outcome = analyze(
-        f,
-        g,
+        args.f,
+        args.g,
         brute_cap=args.cap_brute,
         residue_cap=residue_cap,
         divisor_cap=args.cap_divisors,
@@ -191,9 +182,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if isinstance(outcome, GcdAtlas):
             _report_atlas(outcome, args)
         elif isinstance(outcome, ZeroResultant):
-            _report_zero(f, g, outcome, args)
+            _report_zero(outcome, args)
         else:
-            _report_not_squarefree(f, g, outcome, args)
+            _report_not_squarefree(outcome, args)
     return 0
 
 
@@ -228,13 +219,13 @@ def _residue_preview(entry) -> str:
     return shown
 
 
-def _report_zero(f, g, outcome: ZeroResultant, args: argparse.Namespace) -> None:
+def _report_zero(outcome: ZeroResultant, args: argparse.Namespace) -> None:
     if args.json:
         print(
             _dump_json(
                 {
-                    "f": str(f),
-                    "g": str(g),
+                    "f": str(args.f),
+                    "g": str(args.g),
                     "resultant": "0",
                     "common_factor": str(outcome.common_factor),
                     "sample_values": [str(v) for v in outcome.sample_values],
@@ -242,8 +233,8 @@ def _report_zero(f, g, outcome: ZeroResultant, args: argparse.Namespace) -> None
             )
         )
         return
-    print(f"f = {f}")
-    print(f"g = {g}")
+    print(f"f = {args.f}")
+    print(f"g = {args.g}")
     print("resultant = 0")
     print(f"common factor over Z[x]: {outcome.common_factor}")
     print("the gcd values are unbounded: infinite range, no nonzero period")
@@ -251,13 +242,11 @@ def _report_zero(f, g, outcome: ZeroResultant, args: argparse.Namespace) -> None
     print(f"gcd(f(n), g(n)) for n = 0..{len(outcome.sample_values) - 1}: {sample}")
 
 
-def _report_not_squarefree(
-    f, g, outcome: NotSquarefree, args: argparse.Namespace
-) -> None:
+def _report_not_squarefree(outcome: NotSquarefree, args: argparse.Namespace) -> None:
     if args.json:
         doc = {
-            "f": str(f),
-            "g": str(g),
+            "f": str(args.f),
+            "g": str(args.g),
             "resultant": str(outcome.resultant),
             "squarefree": False,
             "factorization": [
@@ -274,8 +263,8 @@ def _report_not_squarefree(
         }
         print(_dump_json(doc))
         return
-    print(f"f = {f}")
-    print(f"g = {g}")
+    print(f"f = {args.f}")
+    print(f"g = {args.g}")
     print(f"resultant = {outcome.resultant} = {_format_factorization(outcome.factorization)}")
     print("square-free: no (the complete divisor map is only available for square-free resultants)")
     if outcome.profile is not None:
@@ -296,9 +285,7 @@ def _report_not_squarefree(
 
 
 def _cmd_resultant(args: argparse.Namespace) -> int:
-    f = _monic(args.f)
-    g = _monic(args.g)
-    value = resultant(f, g, verify=args.verify)
+    value = resultant(args.f, args.g, verify=args.verify)
     with _printed("the resultant"):
         print(value)
     return 0
@@ -342,9 +329,7 @@ def _cmd_snf(args: argparse.Namespace) -> int:
 
 
 def _cmd_brute_force(args: argparse.Namespace) -> int:
-    f = _monic(args.f)
-    g = _monic(args.g)
-    profile = brute_force_profile(f, g, cap=args.cap_brute)
+    profile = brute_force_profile(args.f, args.g, cap=args.cap_brute)
     if args.json:
         print(_dump_json(profile.to_json_dict()))
         return 0
@@ -356,10 +341,8 @@ def _cmd_brute_force(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    f = _monic(args.f)
-    g = _monic(args.g)
     try:
-        n = coprime_witness(f, g, resultant(f, g))
+        n = coprime_witness(args.f, args.g)
     except CriterionInapplicable as exc:
         print(exc)
         return 0
@@ -370,9 +353,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_period(args: argparse.Namespace) -> int:
-    f = _monic(args.f)
-    g = _monic(args.g)
-    print(minimal_period(f, g, cap=args.cap_brute))
+    print(minimal_period(args.f, args.g, cap=args.cap_brute))
     return 0
 
 
@@ -396,6 +377,8 @@ def main(argv=None) -> int:
             cap = getattr(args, name, 1)
             if cap < 1:
                 raise InputError(f"caps must be positive, got {cap}")
+        if "f" in args:  # every subcommand but snf takes the pair --f, --g
+            args.f, args.g = _monic(args.f), _monic(args.g)
         _, _, handler = _SUBCOMMANDS[args.subcommand]
         return handler(args)
     except ValueError as exc:

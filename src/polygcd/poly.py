@@ -163,14 +163,15 @@ class MonicIntPoly(IntPoly):
     def __init__(self, coeffs: tuple[int, ...]):
         super().__init__(coeffs)
         if self.degree < 1:
-            raise InputError(
-                f"need degree >= 1, got degree {self.degree}"
-                " (constants are not accepted)"
-            )
+            raise InputError(f"expands to degree {self.degree}; need degree >= 1")
         if self.coeffs[0] != 1:
-            raise InputError(
-                f"leading coefficient is {self.coeffs[0]}, expected 1 (monic)"
-            )
+            try:
+                shown = f"is {self.coeffs[0]}"
+            except ValueError:  # too long to print: name its digit count instead
+                import decimal  # imported here: only this message loads it
+
+                shown = f"has {decimal.Decimal(self.coeffs[0]).adjusted() + 1} digits"
+            raise InputError(f"is not monic: leading coefficient {shown}, expected 1")
 
     @classmethod
     def parse(cls, text: str) -> MonicIntPoly:

@@ -220,7 +220,7 @@ def test_criterion_9_coprime_witness_suite(pair_pool):
             fact = factor(r)
             ones = 1 in brute_force_profile(f, g).histogram
             try:
-                n = coprime_witness(f, g, r)
+                n = coprime_witness(f, g)
             except CriterionInapplicable as exc:
                 # no witness: a prime p <= m with p^p | r divides every value
                 p = exc.prime
@@ -235,7 +235,7 @@ def test_criterion_9_coprime_witness_suite(pair_pool):
         assert applicable >= 400 and exact >= 850
         # the r = 4 worked example: 2^2 divides r, yet gcd 1 occurs at n = 0
         f4, g4 = mp("x^2-1"), mp("x^2+1")
-        assert coprime_witness(f4, g4, 4) == 0
+        assert coprime_witness(f4, g4) == 0
         assert math.gcd(f4.evaluate(0), g4.evaluate(0)) == 1
 
 

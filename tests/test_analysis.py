@@ -27,10 +27,13 @@ from polygcd import (
     resultant,
 )
 import polygcd.analysis
+import polygcd.cli
 import polygcd.linalg
+import polygcd.ntheory
 from polygcd.analysis import _coprime_part, _local_table
 from polygcd.errors import InputError
 from polygcd.linalg import _subresultant_resultant
+from polygcd.ntheory import _trial_divide
 
 from support import acceptance_pair_pool, random_monic
 
@@ -408,22 +411,34 @@ def test_analyze_verify_cross_checks_the_not_squarefree_profile(monkeypatch):
 )
 def test_one_chain_walk_per_analysis(monkeypatch, f_text, g_text):
     # Every walk goes through one of these two bindings: the analysis
-    # module's own, or linalg's behind resultant().
-    walks = []
+    # module's own, or linalg's behind resultant().  Trial division goes
+    # through ntheory's binding, behind factor(), or the analysis module's.
+    f, g = mp(f_text), mp(g_text)
+    nonzero = resultant(f, g) != 0
+    walks, trial_divisions = [], []
 
-    def counted(a, b):
+    def counted_walk(a, b):
         walks.append((a, b))
         return _subresultant_resultant(a, b)
 
-    monkeypatch.setattr(polygcd.analysis, "_subresultant_resultant", counted)
-    monkeypatch.setattr(polygcd.linalg, "_subresultant_resultant", counted)
-    f, g = mp(f_text), mp(g_text)
-    analyze(f, g)
-    assert len(walks) == 1
-    if resultant(f, g) != 0:
+    def counted_trial_division(m):
+        trial_divisions.append(m)
+        return _trial_divide(m)
+
+    for module in (polygcd.analysis, polygcd.linalg):
+        monkeypatch.setattr(module, "_subresultant_resultant", counted_walk)
+    for module in (polygcd.analysis, polygcd.ntheory):
+        monkeypatch.setattr(module, "_trial_divide", counted_trial_division)
+    calls = [(analyze, f, g)]
+    if nonzero:  # both raise InputError on r = 0
+        calls += [(minimal_period, f, g), (coprime_witness, f, g)]
+    for name in ("analyze", "witness", "period"):
+        calls.append((polygcd.cli.main, [name, "--f", f_text, "--g", g_text]))
+    for call, *args in calls:
         walks.clear()
-        minimal_period(f, g)
-        assert len(walks) == 1
+        trial_divisions.clear()
+        call(*args)
+        assert (len(walks), len(trial_divisions)) == (1, nonzero), (call.__name__, args)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +448,7 @@ def test_one_chain_walk_per_analysis(monkeypatch, f_text, g_text):
 
 def test_witness_prime_resultant():
     f, g = mp("x^2+3"), mp("(x+1)^2+3")
-    n = coprime_witness(f, g, 13)
+    n = coprime_witness(f, g)
     assert n % 13 != 6
     assert math.gcd(f.evaluate(n), g.evaluate(n)) == 1
 
@@ -442,7 +457,7 @@ def test_witness_for_example_4():
     # 2^2 divides r = 4, so the paper's criterion does not apply, yet the
     # gcds find n = 0.
     f, g = mp("x^2-1"), mp("x^2+1")
-    assert coprime_witness(f, g, 4) == 0
+    assert coprime_witness(f, g) == 0
     assert math.gcd(f.evaluate(0), g.evaluate(0)) == 1
 
 
@@ -453,7 +468,7 @@ def test_witness_criterion_inapplicable_for_r_72():
     assert resultant(f, g, verify=True) == 72
     # (n - 1)(n - 2) and (n - 4)(n - 5) are both even at every n.
     with pytest.raises(CriterionInapplicable) as exc:
-        coprime_witness(f, g, 72)
+        coprime_witness(f, g)
     assert exc.value.prime == 2
 
 
@@ -464,14 +479,14 @@ def test_witness_names_the_prime_dividing_every_value():
     assert abs(r) == 108
     assert {math.gcd(f.evaluate(n), g.evaluate(n)) % 6 for n in range(6)} == {0, 3}
     with pytest.raises(CriterionInapplicable) as exc:
-        coprime_witness(f, g, r)
+        coprime_witness(f, g)
     assert exc.value.prime == 3
     outcome = analyze(f, g, verify=True)
     assert outcome.witness is None and outcome.common_prime == 3
     # 2 and 3 both divide every (n - 1) n (n + 1) + 6: the smaller is named.
     assert resultant(f, mp("x^3-x+6")) == 216
     with pytest.raises(CriterionInapplicable) as exc:
-        coprime_witness(f, mp("x^3-x+6"), 216)
+        coprime_witness(f, mp("x^3-x+6"))
     assert exc.value.prime == 2
 
 
@@ -486,14 +501,14 @@ def test_witness_on_random_pairs_satisfying_the_hypothesis():
             continue
         if any(e >= p for p, e in factor(r).factors):
             continue
-        n = coprime_witness(f, g, r)
+        n = coprime_witness(f, g)
         assert math.gcd(f.evaluate(n), g.evaluate(n)) == 1
         found += 1
 
 
 def test_witness_with_big_prime_factor():
     f, g = mp("x^17+9"), mp("(x+1)^17+9")
-    n = coprime_witness(f, g, resultant(f, g))
+    n = coprime_witness(f, g)
     assert math.gcd(f.evaluate(n), g.evaluate(n)) == 1
 
 
@@ -504,16 +519,50 @@ def test_witness_cofactor_congruence_is_mod_the_whole_prime_power():
     f, g = mp("x+2"), mp("x+2+2*1009^2")
     r = resultant(f, g)
     assert abs(r) == 2 * 1009**2
-    assert coprime_witness(f, g, r) == 1009**2
+    assert coprime_witness(f, g) == 1009**2
+
+
+@pytest.mark.parametrize(
+    "f_text, g_text",
+    [
+        ("x^14-46", "(x+1)^14-46"),
+        ("x^14+32", "(x+1)^14+32"),
+        ("x^18+22", "(x+1)^18+22"),  # 8646805729^2 * 89588178593^2 divides r
+        # the witness is 1009^2; placing the radical 2 * 1009 would give 1009
+        ("x+2", "x+2+2*1009^2"),
+    ],
+)
+def test_analyze_and_coprime_witness_agree_where_r_has_repeated_big_primes(f_text, g_text):
+    f, g = mp(f_text), mp(g_text)
+    outcome = analyze(f, g)
+    assert isinstance(outcome, NotSquarefree)
+    assert any(p >= 1000 and e >= 2 for p, e in outcome.factorization.factors)
+    assert outcome.witness == coprime_witness(f, g)
+    assert math.gcd(f.evaluate(outcome.witness), g.evaluate(outcome.witness)) == 1
+
+
+def test_analyze_and_coprime_witness_agree_on_the_acceptance_pool():
+    checked = 0
+    for f, g, r in acceptance_pair_pool():
+        if r == 0 or is_squarefree(factor(r)):
+            continue
+        try:
+            expected = coprime_witness(f, g), None
+        except CriterionInapplicable as exc:
+            expected = None, exc.prime
+        outcome = analyze(f, g, brute_cap=1)  # no profile: only the witness is compared
+        assert (outcome.witness, outcome.common_prime) == expected
+        checked += 1
+    assert checked >= 500
 
 
 def test_witness_rejects_zero_resultant_and_degree_1000():
     with pytest.raises(InputError, match="resultant is zero"):
-        coprime_witness(mp("x"), mp("x"), 0)
+        coprime_witness(mp("x"), mp("x"))
     big = MonicIntPoly((1,) + (0,) * 999 + (1,))
     assert big.degree == 1000
     with pytest.raises(InputError, match="< 1000, got 1000"):
-        coprime_witness(big, big, 1)
+        coprime_witness(big, big)
 
 
 # Products of primes that a and v may share, and of primes on one side only.
@@ -543,10 +592,10 @@ def test_analyze_verify_cross_checks_the_witness_verdict(monkeypatch, f_text, g_
     f, g = mp(f_text), mp(g_text)
     analyze(f, g, verify=True)
 
-    def wrong_verdict(f, g, r):
-        raise CriterionInapplicable(prime)
+    def wrong_verdict(f, g, r, unplaced):
+        return None, prime
 
-    monkeypatch.setattr(polygcd.analysis, "coprime_witness", wrong_verdict)
+    monkeypatch.setattr(polygcd.analysis, "_place_witness", wrong_verdict)
     assert analyze(f, g).common_prime == prime
     with pytest.raises(InvariantBreach, match="verdict disagrees with the brute-force oracle"):
         analyze(f, g, verify=True)

@@ -359,6 +359,27 @@ def test_exit_1_on_constant_input(capsys):
     assert "degree" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("5", "'5' expands to degree 0; need degree >= 1"),
+        ("x-x", "'x-x' expands to degree -1; need degree >= 1"),
+        ("-x^2", "'-x^2' is not monic: leading coefficient is -1, expected 1"),
+    ],
+)
+def test_exit_1_names_the_expression_that_is_not_monic(capsys, text, message):
+    assert run_cli(capsys, "witness", f"--f={text}", "--g", "x") == (1, "", f"error: {message}\n")
+
+
+def test_an_expression_starting_with_minus_answers_as_f_equals(capsys):
+    # argparse takes a separate "-x+2*x" for an option; "--f=-x+2*x" is one argument.
+    assert run_cli(capsys, "resultant", "--f=-x+2*x", "--g=-3+x") == (0, "-3\n", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["resultant", "--f", "-x+2*x", "--g", "x-3"])
+    assert exc.value.code == 1
+    assert "argument --f: expected one argument" in capsys.readouterr().err
+
+
 def test_exit_2_on_brute_force_cap(capsys):
     status, _, err = run_cli(
         capsys, "brute-force", "--f", "x^17+9", "--g", "(x+1)^17+9"

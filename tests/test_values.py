@@ -135,6 +135,14 @@ def test_every_validation_raises_input_error(build):
         build()
 
 
+def test_monic_names_a_leading_coefficient_too_long_to_print_by_its_digits():
+    # 2^16000 has 4817 digits; formatting it would raise the interpreter's
+    # ValueError, so the message counts its digits instead.
+    with pytest.raises(InputError) as exc:
+        MonicIntPoly.parse("2^16000*x+1")
+    assert str(exc.value) == "is not monic: leading coefficient has 4817 digits, expected 1"
+
+
 def test_cli_import_loads_no_dataclasses_json_or_decimal():
     # Each CLI call is a fresh process, so what the import loads is paid
     # on every call; json and decimal load only on the paths that use them.
