@@ -13,27 +13,29 @@ the residues realizing d are the n = c mod d with gcd((n - c)/d, |r|/d) = 1.
 Otherwise ``analyze`` reports what it can: a zero resultant comes back with
 the common factor in Z[x]; a non-square-free one with an n realizing gcd 1,
 or the prime that rules one out, found from gcds with the parts of r (as
-``coprime_witness`` finds it without factoring r), and, when |r| is within
-the brute-force cap, an exact profile of one period.  The profile
-convolves one local table per p^e, the closed form of gcd(n - c, p^e) when
-p does not divide s1 and a root-lifting tree when it does, and its minimal
-period, which ``minimal_period`` returns for any nonzero r, is the product
-of the local ones.  Under ``verify`` one pass after the outcome is built
-checks r against the Bareiss determinant, each c mod p against the common
-root of a gcd in F_p[x], and the atlas or the profile and the witness
-verdict against the brute-force oracle.
+``coprime_witness`` finds it without factoring r), and an exact profile of
+one period for any r that ``factor`` splits.  The profile convolves one
+local table per p^e, the closed form of gcd(n - c, p^e) when p does not
+divide s1 and a tree of classes a mod p^j, of at most min(deg f, deg g) * e
+nodes, when it does; its minimal period, which ``minimal_period`` returns
+for any nonzero r, is the product of the local ones.  Under ``verify`` one
+pass after the outcome is built checks r against the Bareiss determinant,
+each c mod p against the common root of a gcd in F_p[x], and the atlas or
+the profile and the witness verdict against the brute-force oracle, which
+alone reads the brute-force cap.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import NamedTuple
 
-from .errors import CriterionInapplicable, InputError, InvariantBreach
-from .linalg import _subresultant_resultant, resultant
-from .modp import common_root_mod_p
+from .errors import CapExceeded, CriterionInapplicable, InputError, InvariantBreach
+from .linalg import _subresultant_resultant, det_bareiss, resultant, sylvester_matrix
+from .modp import _common_roots_mod_p, common_root_mod_p
 from .ntheory import DIVISOR_CAP, Factorization, divisors, factor, is_squarefree, crt
 from .ntheory import _TRIAL_DIVISION_BOUND, _trial_divide
-from .oracle import BRUTE_FORCE_CAP, _check_period_cap, brute_force_profile
+from .oracle import BRUTE_FORCE_CAP, brute_force_profile
 from .poly import IntPoly, MonicIntPoly, gcd_over_Z
 
 __all__ = [
@@ -138,14 +140,14 @@ class GcdProfile(NamedTuple):
 
 
 class NotSquarefree(NamedTuple):
-    """r != 0 but not square-free: no atlas, but an exact profile within cap.
+    """r != 0 but not square-free: no atlas, but an exact profile.
 
     ``witness`` is an n with gcd(f(n), g(n)) = 1, or None when none exists;
     then ``common_prime`` is the smallest prime dividing every value.
     """
 
     factorization: Factorization
-    profile: GcdProfile | None
+    profile: GcdProfile
     witness: int | None
     common_prime: int | None
 
@@ -176,7 +178,7 @@ def analyze(
     determinant of the Sylvester matrix, every root c mod p of the atlas
     against ``common_root_mod_p`` and, when |r| is within ``brute_cap``,
     the atlas (entry by entry) or the non-square-free profile and witness
-    verdict against the brute-force oracle.
+    verdict against the brute-force oracle; ``brute_cap`` bounds nothing else.
     """
     r, (s1, s0) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
     if r == 0:
@@ -195,18 +197,22 @@ def analyze(
                 p if p < _TRIAL_DIVISION_BOUND else p**e for p, e in fact.factors
             )
             witness, common_prime = _place_witness(f, g, r, unplaced)
-            profile = _gcd_profile(f, g, fact, s1) if abs(r) <= brute_cap else None
+            profile = _gcd_profile(f, g, fact, s1, divisor_cap)
             outcome = NotSquarefree(fact, profile, witness, common_prime)
     if verify:
-        _verify(f, g, outcome, brute_cap)
+        _verify(f, g, r, outcome, brute_cap)
     return outcome
 
 
-def _verify(f: MonicIntPoly, g: MonicIntPoly, outcome: AnalysisOutcome, brute_cap: int):
-    # Every check of analyze(verify=True); the first disagreement raises.
-    resultant(f, g, verify=True)  # the Bareiss determinant against the PRS
-    if isinstance(outcome, ZeroResultant):
-        return
+def _verify(f: MonicIntPoly, g: MonicIntPoly, r: int, outcome: AnalysisOutcome, brute_cap: int):
+    # Every check of analyze(verify=True), each made once; the first disagreement
+    # raises.  The oracle's modulus comes from resultant(verify=True), which
+    # checks the PRS against Bareiss, so only without the oracle is it done here.
+    oracle_runs = 0 < abs(r) <= brute_cap
+    if not oracle_runs:
+        det = det_bareiss(sylvester_matrix(f, g))
+        if det != r:
+            raise InvariantBreach(f"resultant mismatch: bareiss gives {det}, prs gives {r}")
     if isinstance(outcome, GcdAtlas):
         # A gcd in F_p[x] finds each root apart from the chain, at any size of p.
         for p, c in outcome.roots.items():
@@ -216,9 +222,11 @@ def _verify(f: MonicIntPoly, g: MonicIntPoly, outcome: AnalysisOutcome, brute_ca
                     f"common root mod {p}: the subresultant gives {c},"
                     f" the gcd mod {p} gives {c_p}"
                 )
-    if abs(outcome.resultant) > brute_cap:
+    if not oracle_runs:
         return
     oracle = brute_force_profile(f, g, cap=brute_cap)
+    if oracle.modulus != abs(r):
+        raise InvariantBreach(f"the oracle's period {oracle.modulus} is not |r| = {abs(r)}")
     if isinstance(outcome, GcdAtlas):
         if outcome.multiplicity_histogram() != oracle.histogram:
             raise InvariantBreach("atlas multiplicities disagree with the brute-force oracle")
@@ -236,11 +244,7 @@ def _verify(f: MonicIntPoly, g: MonicIntPoly, outcome: AnalysisOutcome, brute_ca
                 )
         return
     profile = outcome.profile
-    if (profile.modulus, profile.histogram, profile.gcd_range) != (
-        oracle.modulus,
-        oracle.histogram,
-        oracle.gcd_range,
-    ):
+    if (profile.histogram, profile.gcd_range) != (oracle.histogram, oracle.gcd_range):
         raise InvariantBreach("the gcd profile disagrees with the brute-force oracle")
     if profile.period != oracle.minimal_period():
         raise InvariantBreach(
@@ -314,21 +318,24 @@ def _atlas_entry(
     return AtlasEntry(d, multiplicity, tuple(residues))
 
 
-def _gcd_profile(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization, s1: int) -> GcdProfile:
+def _gcd_profile(
+    f: MonicIntPoly, g: MonicIntPoly, fact: Factorization, s1: int, divisor_cap: int
+) -> GcdProfile:
     # The p-parts of gcd(f(n), g(n)) for the different primes p | r are
     # independent by CRT, so the value histogram is the multiplicative
     # convolution of the local histograms (their keys are coprime, so no two
     # products collide) and the minimal period is the product of the local ones.
+    # Its size is the product of theirs, at most the divisor count of |r|.
+    histograms, periods = zip(*(_local_table(f, g, p, e, s1) for p, e in fact.factors))
+    count = math.prod(map(len, histograms))
+    if count > divisor_cap:
+        raise CapExceeded(f"gcd value count {count} exceeds cap {divisor_cap}")
     histogram = {1: 1}
-    period = 1
-    for p, e in fact.factors:
-        local, local_period = _local_table(f, g, p, e, s1)
+    for local in histograms:
         histogram = {
             a * b: ca * cb for a, ca in histogram.items() for b, cb in local.items()
         }
-        period *= local_period
-    histogram = dict(sorted(histogram.items()))
-    return GcdProfile(modulus=abs(fact.n), histogram=histogram, period=period)
+    return GcdProfile(abs(fact.n), dict(sorted(histogram.items())), math.prod(periods))
 
 
 def _local_table(
@@ -343,53 +350,64 @@ def _local_table(
         # The p-part is gcd(n - c, p^e): p^k exactly for phi(p^(e-k)) of the n.
         histogram = {p**k: (p - 1) * p ** (e - k - 1) for k in range(e)}
         return {**histogram, p**e: 1}, p**e
-    # levels[k] holds the residues n mod p^k with p^k | f(n) and p^k | g(n).
-    # Only the p lifts of a residue in levels[k - 1] can lie in levels[k].
-    levels = [[0]]
-    for k in range(1, e + 1):
-        q, step = p**k, p ** (k - 1)
-        levels.append(
-            [
-                n
-                for s in levels[-1]
-                for n in range(s, q, step)
-                if f.evaluate(n) % q == 0 and g.evaluate(n) % q == 0
-            ]
-        )
-    # at_least[k]: how many n mod p^e have p^k dividing the gcd.
-    at_least = [len(level) * p ** (e - k) for k, level in enumerate(levels)] + [0]
-    histogram = {
-        p**k: at_least[k] - at_least[k + 1]
-        for k in range(e + 1)
-        if at_least[k] != at_least[k + 1]
-    }
-    # p^j is a period iff every deeper level is a union of classes mod p^j.
-    period_exponent = next(
-        j
-        for j in range(e + 1)
-        if all(
-            len({n % p**j for n in levels[k]}) * p ** (k - j) == len(levels[k])
-            for k in range(j + 1, e + 1)
-        )
-    )
-    return histogram, p**period_exponent
+    return _lifting_tree(f, g, p, e)
 
 
-def minimal_period(
-    f: MonicIntPoly, g: MonicIntPoly, *, cap: int = BRUTE_FORCE_CAP
-) -> int:
+def _lifting_tree(f: MonicIntPoly, g: MonicIntPoly, p: int, e: int) -> tuple[dict[int, int], int]:
+    # A node is a class n = a + p^j t, with F(t) = f(a + p^j t) and G(t) the
+    # same for g, mod p^e.  The gcd p^m of their coefficients divides both
+    # values on the class, and p^(m+1) does exactly at the common roots t mod p
+    # of F/p^m and G/p^m, each a child a + p^j t mod p^(j+1); the other t get
+    # p^m.  m grows with j, so at most e levels of min(deg f, deg g) nodes each.
+    q = p**e
+    histogram: dict[int, int] = {}
+    leaves = []  # (a, j, value) of the classes on which the p-part is constant
+    deepest_split = 0  # a node whose class splits into values p^m and above
+    nodes = [(0, 0, [c % q for c in f.coeffs], [c % q for c in g.coeffs])]
+    while nodes:
+        a, j, F, G = nodes.pop()
+        d = math.gcd(*F, *G, q)
+        roots = [] if d == q else _common_roots_mod_p([c // d for c in F], [c // d for c in G], p)
+        if not roots:
+            leaves.append((a, j, d))
+            histogram[d] = histogram.get(d, 0) + p ** (e - j)
+            continue
+        if len(roots) < p:
+            deepest_split = max(deepest_split, j + 1)
+            histogram[d] = histogram.get(d, 0) + (p - len(roots)) * p ** (e - j - 1)
+        for t in roots:
+            nodes.append((a + p**j * t, j + 1, _shift(F, t, p, q), _shift(G, t, p, q)))
+    # p^i is a period iff no class deeper than i splits and the constant
+    # classes deeper than i agree on each class mod p^i; bisect for the least i.
+    def agree(i):
+        seen: dict[int, int] = {}
+        return all(seen.setdefault(a % p**i, d) == d for a, j, d in leaves if j > i)
+
+    return histogram, p ** (deepest_split + bisect_left(range(deepest_split, e), True, key=agree))
+
+
+def _shift(F: list[int], t: int, p: int, q: int) -> list[int]:
+    # The coefficients, leading-first, of F(t + p u) in u, mod q.
+    F = list(F)
+    for i in range(len(F) - 1 if t else 0):
+        for k in range(1, len(F) - i):
+            F[k] = (F[k] + t * F[k - 1]) % q
+    return [c * p ** (len(F) - 1 - k) % q for k, c in enumerate(F)]
+
+
+def minimal_period(f: MonicIntPoly, g: MonicIntPoly) -> int:
     """Smallest positive t with gcd(f(n), g(n)) = gcd(f(n+t), g(n+t)) for all n.
 
-    It is the product of the local minimal periods, one per prime power p^e
-    exactly dividing r, read from the same local tables as the
-    non-square-free profile, so no scan of |r| values is made.  ``cap``
-    bounds |r| as it bounds the brute-force oracle.
+    It is the product of the local minimal periods, one per p^e exactly
+    dividing r: p^e when p does not divide s1, else the lifting tree's.  No
+    |r| values are scanned and no histogram is built.
     """
     r, (s1, _) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
     if r == 0:
         raise InputError("resultant is zero: no finite period exists in general")
-    _check_period_cap(abs(r), cap)
-    return _gcd_profile(f, g, factor(r), s1).period
+    return math.prod(
+        p**e if s1 % p else _lifting_tree(f, g, p, e)[1] for p, e in factor(r).factors
+    )
 
 
 def coprime_witness(f: MonicIntPoly, g: MonicIntPoly) -> int:
@@ -405,9 +423,6 @@ def coprime_witness(f: MonicIntPoly, g: MonicIntPoly) -> int:
     naming the smallest prime p <= m that divides every value; then p^p
     divides r (the paper's criterion) and no witness exists.
     """
-    m = min(f.degree, g.degree)
-    if m >= _TRIAL_DIVISION_BOUND:  # refused before the walk
-        raise InputError(f"coprime_witness needs min(deg f, deg g) < 1000, got {m}")
     r = resultant(f, g)
     if r == 0:
         raise InputError("resultant is zero: the witness criterion needs r != 0")

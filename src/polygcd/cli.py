@@ -114,11 +114,6 @@ def _snf_args(p):
     p.add_argument("--json", action="store_true", help="emit canonical JSON")
 
 
-def _period_args(p):
-    _pair_args(p)
-    p.add_argument("--cap-brute", type=int, default=BRUTE_FORCE_CAP, metavar="N")
-
-
 def _monic(text: str) -> MonicIntPoly:
     coeffs = parse_poly(text).coeffs
     try:
@@ -252,12 +247,8 @@ def _report_not_squarefree(outcome: NotSquarefree, args: argparse.Namespace) -> 
             "factorization": [
                 [str(p), str(e)] for p, e in outcome.factorization.factors
             ],
-            "range": [str(v) for v in outcome.profile.gcd_range]
-            if outcome.profile
-            else None,
-            "histogram": {str(v): str(c) for v, c in outcome.profile.histogram.items()}
-            if outcome.profile
-            else None,
+            "range": [str(v) for v in outcome.profile.gcd_range],
+            "histogram": {str(v): str(c) for v, c in outcome.profile.histogram.items()},
             "witness": str(outcome.witness) if outcome.witness is not None else None,
             "witness_applicable": outcome.witness_applicable,
         }
@@ -267,16 +258,11 @@ def _report_not_squarefree(outcome: NotSquarefree, args: argparse.Namespace) -> 
     print(f"g = {args.g}")
     print(f"resultant = {outcome.resultant} = {_format_factorization(outcome.factorization)}")
     print("square-free: no (the complete divisor map is only available for square-free resultants)")
-    if outcome.profile is not None:
-        values = ", ".join(str(v) for v in outcome.profile.gcd_range)
-        print(f"empirical gcd range over one period of {outcome.profile.modulus}: {{{values}}}")
-        histogram = ", ".join(
-            f"{v}: {c}" for v, c in sorted(outcome.profile.histogram.items())
-        )
-        print(f"gcd value counts: {histogram}")
-        print(f"minimal period: {outcome.profile.period}")
-    else:
-        print(f"|resultant| exceeds the brute-force cap {args.cap_brute}; no empirical profile")
+    values = ", ".join(str(v) for v in outcome.profile.gcd_range)
+    print(f"empirical gcd range over one period of {outcome.profile.modulus}: {{{values}}}")
+    histogram = ", ".join(f"{v}: {c}" for v, c in outcome.profile.histogram.items())
+    print(f"gcd value counts: {histogram}")
+    print(f"minimal period: {outcome.profile.period}")
     if outcome.witness_applicable:
         print(f"coprime witness: n = {outcome.witness}")
     else:
@@ -353,7 +339,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_period(args: argparse.Namespace) -> int:
-    print(minimal_period(args.f, args.g, cap=args.cap_brute))
+    value = minimal_period(args.f, args.g)
+    with _printed("the period"):
+        print(value)
     return 0
 
 
@@ -364,14 +352,14 @@ _SUBCOMMANDS = {
     "snf": ("Smith normal form of an integer matrix", _snf_args, _cmd_snf),
     "brute-force": ("tabulate gcd(f(n), g(n)) over one period", _brute_force_args, _cmd_brute_force),
     "witness": ("find n with gcd(f(n), g(n)) = 1, or prove none exists", _pair_args, _cmd_witness),
-    "period": ("smallest positive period of gcd(f(n), g(n))", _period_args, _cmd_period),
+    "period": ("smallest positive period of gcd(f(n), g(n))", _pair_args, _cmd_period),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # resultant, snf and witness take no caps; brute-force and period take
+        # resultant, snf, witness and period take no caps; brute-force takes
         # only --cap-brute.
         for name in ("cap_brute", "cap_residues", "cap_divisors"):
             cap = getattr(args, name, 1)

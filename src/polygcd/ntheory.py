@@ -12,8 +12,8 @@ found is divided out before the next search.  Pollard rho draws its
 starting points from one generator with a fixed seed, ``POLLARD_SEED``;
 a factorization is unique, so the seed only picks which random walk
 finds the primes, and every run takes the same walk.  All rho walks of
-one factor call share the work budget ``RHO_BUDGET``; a call that would
-exceed it raises CapExceeded.
+one factor call share the work budget ``RHO_BUDGET`` with its large
+primality tests; a call that would exceed it raises CapExceeded.
 """
 from __future__ import annotations
 
@@ -45,7 +45,8 @@ POLLARD_SEED = 0
 
 # Pollard rho's work budget per factor call, in steps on a cofactor of a
 # few hundred bits (about a microsecond each).  A step on an m-bit cofactor
-# counts 1 + (m/400)^2 of them, as its multiplications cost.
+# counts 1 + (m/400)^2 of them, as its multiplications cost, and a
+# Baillie-PSW test on m bits 3 m (1 + (m/400)^2), as timed against the steps.
 RHO_BUDGET = 10**7
 
 
@@ -231,7 +232,7 @@ def factor(n: int) -> Factorization:
 
     Trial division by the primes below 1000, then Brent's variant of
     Pollard rho on the cofactor; every reported prime passes is_prime.
-    Raises CapExceeded when rho would need more than RHO_BUDGET.
+    Raises CapExceeded when rho and large primality tests would need more than RHO_BUDGET.
     """
     if n == 0:
         raise InputError("0 has no prime factorization")
@@ -281,6 +282,14 @@ def _distinct_primes(m: int) -> set[int]:
         if root is not None:
             pieces.append(root)
             continue
+        if piece >= MR_DETERMINISTIC_BOUND:
+            bits = piece.bit_length()
+            budget -= 3 * bits * (1 + (bits / 400) ** 2)
+            if budget < 0:
+                raise CapExceeded(
+                    f"a primality test on a {_digits(piece)}-digit cofactor would"
+                    f" exceed the work budget of {RHO_BUDGET} steps"
+                )
         if is_prime(piece):
             primes.add(piece)
             continue
@@ -323,10 +332,8 @@ def _pollard_brent(n: int, rng: random.Random, budget: float) -> tuple[int, floa
         nonlocal budget
         budget -= steps * weight
         if budget < 0:
-            import decimal  # imported here: only this message loads it
-
             raise CapExceeded(
-                f"Pollard rho did not split a {decimal.Decimal(n).adjusted() + 1}-digit"
+                f"Pollard rho did not split a {_digits(n)}-digit"
                 f" cofactor within its work budget of {RHO_BUDGET} steps"
             )
 
@@ -359,6 +366,12 @@ def _pollard_brent(n: int, rng: random.Random, budget: float) -> tuple[int, floa
                 g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g, budget
+
+
+def _digits(n: int) -> int:
+    import decimal  # here: only the budget's messages load it
+
+    return decimal.Decimal(n).adjusted() + 1  # past str's digit limit too
 
 
 # ---------------------------------------------------------------------------

@@ -72,18 +72,13 @@ def brute_force_profile(
     if r == 0:
         raise InputError("resultant is zero: the gcd values have no finite period")
     modulus = abs(r)
-    _check_period_cap(modulus, cap)
-    values = tuple(math.gcd(f.evaluate(n), g.evaluate(n)) for n in range(modulus))
-    return BruteForceProfile(
-        modulus=modulus, values=values, histogram=dict(Counter(values))
-    )
-
-
-def _check_period_cap(modulus: int, cap: int) -> None:
-    """Raise CapExceeded when the period ``modulus`` exceeds ``cap``."""
     if modulus > cap:
         try:
             shown = str(modulus)
         except ValueError:  # more digits than the interpreter prints
             shown = f"of more than {sys.get_int_max_str_digits()} digits"
         raise CapExceeded(f"period {shown} exceeds the brute-force cap {cap}")
+    values = tuple(math.gcd(f.evaluate(n), g.evaluate(n)) for n in range(modulus))
+    return BruteForceProfile(
+        modulus=modulus, values=values, histogram=dict(Counter(values))
+    )

@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from polygcd import (
@@ -285,6 +286,17 @@ def check_periodicity(
         if value(n) != value(n + modulus):
             return False
     return True
+
+
+def naive_local_profile(f: IntPoly, g: IntPoly, p: int, e: int) -> tuple[dict[int, int], int]:
+    """gcd(f(n), g(n), p^e) tabulated for every n mod p^e: its histogram, and
+    the least p^i with values[n] == values[n mod p^i] for every n."""
+    q = p**e
+    values = [math.gcd(f.evaluate(n), g.evaluate(n), q) for n in range(q)]
+    period = next(
+        p**i for i in range(e + 1) if all(v == values[n % p**i] for n, v in enumerate(values))
+    )
+    return dict(Counter(values)), period
 
 
 def rank_mod_p(matrix: IntMatrix, p: int) -> int:

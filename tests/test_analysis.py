@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,12 +31,15 @@ import polygcd.analysis
 import polygcd.cli
 import polygcd.linalg
 import polygcd.ntheory
-from polygcd.analysis import _coprime_part, _local_table
+from polygcd.analysis import _coprime_part, _lifting_tree, _local_table
 from polygcd.errors import InputError
 from polygcd.linalg import _subresultant_resultant
 from polygcd.ntheory import _trial_divide
 
-from support import acceptance_pair_pool, random_monic
+from support import acceptance_pair_pool, naive_local_profile, random_monic
+
+
+P52 = 8936582237915716659950962253358945635793453256935559
 
 
 def mp(text):
@@ -95,10 +99,12 @@ def test_derived_attributes_are_not_stored(cls, name):
     assert hasattr(cls, name)
 
 
-def test_analyze_not_squarefree_without_profile_when_over_cap():
-    outcome = analyze(mp("x^2-1"), mp("x^2+1"), brute_cap=2)
+def test_analyze_profile_does_not_read_the_brute_force_cap():
+    f, g = mp("x^2-1"), mp("x^2+1")
+    outcome = analyze(f, g, brute_cap=2)
     assert isinstance(outcome, NotSquarefree)
-    assert outcome.profile is None
+    assert outcome.profile == analyze(f, g).profile
+    assert outcome.profile.histogram == {1: 2, 2: 2}
 
 
 def test_analyze_atlas_json_schema():
@@ -292,12 +298,10 @@ def test_minimal_period_worked_examples():
     assert minimal_period(mp("x+1"), mp("x-1")) == 2
 
 
-def test_minimal_period_rejects_zero_resultant_and_caps():
+def test_minimal_period_rejects_zero_resultant():
     p = mp("x^2+x+1")
     with pytest.raises(InputError):
         minimal_period(p, p)
-    with pytest.raises(CapExceeded):
-        minimal_period(mp("x^2+3"), mp("(x+1)^2+3"), cap=5)
 
 
 def test_minimal_period_divides_r_and_is_a_true_period():
@@ -441,6 +445,171 @@ def test_one_chain_walk_per_analysis(monkeypatch, f_text, g_text):
         assert (len(walks), len(trial_divisions)) == (1, nonzero), (call.__name__, args)
 
 
+def _count_calls(monkeypatch, counts, name, modules, real):
+    def counted(*args):
+        counts[name] += 1
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, real.__name__, counted, raising=False)
+
+
+@pytest.mark.parametrize(
+    "f_text, g_text, walks",
+    [
+        ("x^2+3", "(x+1)^2+3", 2),  # r = 13: the oracle runs
+        ("x^2-3*x+2", "x^2-9*x+20", 2),  # r = 72
+        ("x^17+9", "(x+1)^17+9", 1),  # |r| above the brute-force cap
+        ("x^2+x+1", "x^2+x+1", 1),  # r = 0
+    ],
+)
+def test_verify_computes_the_bareiss_determinant_once(monkeypatch, f_text, g_text, walks):
+    # analyze's own walk, and the oracle's where it runs; one determinant.
+    counts = {"bareiss": 0, "walks": 0}
+    modules = (polygcd.analysis, polygcd.linalg)
+    _count_calls(monkeypatch, counts, "bareiss", modules, polygcd.linalg.det_bareiss)
+    _count_calls(monkeypatch, counts, "walks", modules, _subresultant_resultant)
+    analyze(mp(f_text), mp(g_text), verify=True)
+    assert counts == {"bareiss": 1, "walks": walks}
+
+
+@pytest.mark.parametrize(
+    "f_text, g_text, r",
+    [("x^2+3", "(x+1)^2+3", 13), ("x^17+9", "(x+1)^17+9", P52), ("x^2+x+1", "x^2+x+1", 0)],
+)
+def test_verify_reports_a_bareiss_mismatch_inside_and_outside_the_cap(
+    monkeypatch, f_text, g_text, r
+):
+    det = polygcd.linalg.det_bareiss
+    for module in (polygcd.analysis, polygcd.linalg):
+        monkeypatch.setattr(module, "det_bareiss", lambda m: det(m) + 1)
+    analyze(mp(f_text), mp(g_text))
+    message = f"resultant mismatch: bareiss gives {r + 1}, prs gives {r}"
+    with pytest.raises(InvariantBreach, match=message):
+        analyze(mp(f_text), mp(g_text), verify=True)
+
+
+# ---------------------------------------------------------------------------
+# the lifting tree against the naive local oracle
+# ---------------------------------------------------------------------------
+
+
+def test_lifting_tree_matches_the_naive_oracle_on_acceptance_pool_prime_powers():
+    # Every p^e exactly dividing a pool resultant, p | s1 or not, up to 2 * 10^4.
+    checked = 0
+    for f, g, r in acceptance_pair_pool():
+        if r == 0 or abs(r) > 10**6:
+            continue
+        for p, e in factor(r).factors:
+            if p**e <= 2 * 10**4:
+                assert _lifting_tree(f, g, p, e) == naive_local_profile(f, g, p, e), (f, g, p, e)
+                checked += 1
+    assert checked >= 2200
+
+
+def test_lifting_tree_matches_the_naive_oracle_on_stress_family_prime_powers():
+    checked = 0
+    for k in range(2, 13):
+        for a in range(-12, 13):
+            f, g = mp(f"x^{k}{a:+d}"), mp(f"(x+1)^{k}{a:+d}")
+            r = resultant(f, g)  # 0 when a = -1 and 6 | k: a cube root of 1 is a common root
+            for p, e in factor(r).factors if r else ():
+                if p**e <= 2 * 10**4:
+                    assert _lifting_tree(f, g, p, e) == naive_local_profile(f, g, p, e), (k, a, p, e)
+                    checked += 1
+    assert checked >= 600
+
+
+def _lower(rng, degree):
+    # A random integer polynomial of degree below ``degree``.
+    return IntPoly(tuple(rng.randint(-9, 9) for _ in range(degree)))
+
+
+@pytest.mark.parametrize("p, e", [(2, 9), (3, 6), (5, 4), (7, 3)])
+def test_lifting_tree_matches_the_naive_oracle_with_a_planted_common_factor(p, e):
+    # h divides f and g mod p^i and p^j, so the tree runs deep where h has roots.
+    rng = random.Random(p)
+    for _ in range(375):
+        h = random_monic(rng, max_degree=3)
+        u, w = random_monic(rng, max_degree=2), random_monic(rng, max_degree=2)
+        f = MonicIntPoly((h * u + _lower(rng, h.degree + u.degree) * p ** rng.randint(1, e)).coeffs)
+        g = MonicIntPoly((h * w + _lower(rng, h.degree + w.degree) * p ** rng.randint(1, e)).coeffs)
+        assert _lifting_tree(f, g, p, e) == naive_local_profile(f, g, p, e), (f, g)
+
+
+@pytest.mark.parametrize("p, e", [(2, 10), (3, 6)])
+def test_lifting_tree_matches_the_naive_oracle_where_every_t_is_a_root(p, e):
+    # f and g are x^p - x times a factor mod p: both vanish on all of F_p
+    # without vanishing coefficient-wise.
+    rng = random.Random(e)
+    vanishing = MonicIntPoly((1,) + (0,) * (p - 2) + (-1, 0))
+    for _ in range(80):
+        u, w = random_monic(rng, max_degree=2), random_monic(rng, max_degree=2)
+        f = MonicIntPoly((vanishing * u + _lower(rng, p + u.degree) * p).coeffs)
+        g = MonicIntPoly((vanishing * w + _lower(rng, p + w.degree) * p).coeffs)
+        assert _lifting_tree(f, g, p, e) == naive_local_profile(f, g, p, e), (f, g)
+
+
+@pytest.mark.parametrize(
+    "f_text, g_text, histogram, period",
+    [
+        # 0 is a double root mod 5, and no class mod 25 lifts it.
+        ("x^2+5", "x^2+5+25*x", {1: 2500, 5: 625}, 5),
+        # 0 mod 5 splits into 5 and -5 mod 25.
+        (
+            "x^2-25",
+            "x^2-25+5^5",
+            {1: 7812500, 25: 1171875, 125: 625000, 625: 125000, 3125: 31250},
+            625,
+        ),
+    ],
+)
+def test_lifting_tree_worked_cases(f_text, g_text, histogram, period):
+    f, g = mp(f_text), mp(g_text)
+    profile = analyze(f, g).profile
+    assert (profile.histogram, profile.period) == (histogram, period)
+    assert minimal_period(f, g) == period
+
+
+@pytest.mark.parametrize("p", [101, 1009, 10**6 + 3])
+def test_profile_above_the_brute_force_cap_is_the_closed_form(p):
+    # gcd(n^2, n^2 + p^3) = gcd(n^2, p^3): 1 off 0 mod p, p^2 on the rest of
+    # 0 mod p, p^3 on 0 mod p^2.
+    f, g = mp("x^2"), mp(f"x^2+{p}^3")
+    start = time.perf_counter()
+    profile = analyze(f, g).profile
+    assert minimal_period(f, g) == profile.period == p**2
+    assert time.perf_counter() - start < 1
+    assert profile.histogram == {1: p**6 - p**5, p**2: p**5 - p**4, p**3: p**4}
+
+
+def test_profile_of_a_tree_4000_levels_deep():
+    # gcd(n^2, 2^4000) is 4^v for n = 2^v * odd with v < 2000, else 2^4000.
+    start = time.perf_counter()
+    profile = analyze(mp("x^2"), mp("x^2+2^4000")).profile
+    assert time.perf_counter() - start < 2
+    expected = {4**v: 2 ** (7999 - v) for v in range(2000)}
+    assert profile.histogram == {**expected, 2**4000: 2**6000}
+    assert profile.period == 2**2000
+
+
+def test_profile_refuses_more_values_than_the_divisor_cap():
+    f, g = mp("x^2"), mp("x^2+2^7")
+    assert len(analyze(f, g, divisor_cap=5).profile.histogram) == 5
+    with pytest.raises(CapExceeded, match="gcd value count 5 exceeds cap 4"):
+        analyze(f, g, divisor_cap=4)
+
+
+def test_minimal_period_is_the_profile_period_on_every_not_squarefree_pool_pair():
+    checked = 0
+    for f, g, r in acceptance_pair_pool():
+        if r == 0 or is_squarefree(factor(r)):
+            continue
+        assert minimal_period(f, g) == analyze(f, g).profile.period, (f, g)
+        checked += 1
+    assert checked >= 500
+
+
 # ---------------------------------------------------------------------------
 # coprime_witness
 # ---------------------------------------------------------------------------
@@ -550,19 +719,19 @@ def test_analyze_and_coprime_witness_agree_on_the_acceptance_pool():
             expected = coprime_witness(f, g), None
         except CriterionInapplicable as exc:
             expected = None, exc.prime
-        outcome = analyze(f, g, brute_cap=1)  # no profile: only the witness is compared
+        outcome = analyze(f, g)
         assert (outcome.witness, outcome.common_prime) == expected
         checked += 1
     assert checked >= 500
 
 
-def test_witness_rejects_zero_resultant_and_degree_1000():
+def test_witness_rejects_zero_resultant_and_answers_degree_1000():
     with pytest.raises(InputError, match="resultant is zero"):
         coprime_witness(mp("x"), mp("x"))
-    big = MonicIntPoly((1,) + (0,) * 999 + (1,))
-    assert big.degree == 1000
-    with pytest.raises(InputError, match="< 1000, got 1000"):
-        coprime_witness(big, big)
+    f = MonicIntPoly((1,) + (0,) * 1000)
+    g = MonicIntPoly((1,) + (0,) * 999 + (4,))
+    # r = 4^1000, and gcd(f(1), g(1)) = gcd(1, 5) = 1.
+    assert coprime_witness(f, g) == analyze(f, g).witness == 1
 
 
 # Products of primes that a and v may share, and of primes on one side only.

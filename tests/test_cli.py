@@ -264,7 +264,13 @@ def test_period(capsys):
     assert out.strip() == "2"
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["period", "--cap-brute", str(10**13)]])
+def test_period_above_the_brute_force_cap(capsys):
+    # gcd(f(n), g(n)) = gcd(n - c, |r|) for the 52-digit prime |r|.
+    argv = ("period", "--f", "x^17+9", "--g", "(x+1)^17+9")
+    assert run_cli(capsys, *argv) == (0, f"{P52}\n", "")
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["period"]])
 def test_rho_out_of_budget_exits_2(capsys, monkeypatch, command):
     # r = 1000003 * 1000033, which rho splits in about 3400 steps.
     argv = [*command, "--f", "x", "--g", "x+1000003*1000033"]
@@ -275,6 +281,20 @@ def test_rho_out_of_budget_exits_2(capsys, monkeypatch, command):
         "",
         "error: Pollard rho did not split a 13-digit cofactor within its work budget of 100 steps\n",
     )
+
+
+@pytest.mark.parametrize("command", ["analyze", "period"])
+def test_primality_test_beyond_the_budget_exits_2(capsys, command):
+    # r = 2^16000 - 1 leaves a 4793-digit cofactor after trial division; its
+    # Baillie-PSW test would be charged 7.6 * 10^7 steps, so it is refused unrun.
+    start = time.perf_counter()
+    assert run_cli(capsys, command, "--f", "x+2^16000", "--g", "x+1") == (
+        2,
+        "",
+        "error: a primality test on a 4793-digit cofactor would exceed"
+        " the work budget of 10000000 steps\n",
+    )
+    assert time.perf_counter() - start < 10
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +410,7 @@ def test_exit_2_on_brute_force_cap(capsys):
 
 def test_exit_2_on_explicit_tiny_cap(capsys):
     status, _, err = run_cli(
-        capsys, "period", "--f", "x^2+3", "--g", "(x+1)^2+3", "--cap-brute", "5"
+        capsys, "brute-force", "--f", "x^2+3", "--g", "(x+1)^2+3", "--cap-brute", "5"
     )
     assert status == 2
 
@@ -467,7 +487,7 @@ def test_seed_env_var_is_ignored(capsys, monkeypatch, argv):
     "argv, cap",
     [
         (["analyze", "--f", "x", "--g", "x+1", "--cap-brute", "0"], "0"),
-        (["period", "--f", "x", "--g", "x+1", "--cap-brute", "-3"], "-3"),
+        (["brute-force", "--f", "x", "--g", "x+1", "--cap-brute", "-3"], "-3"),
         (["analyze", "--f", "x", "--g", "x+1", "--cap-divisors", "-1"], "-1"),
         (["analyze", "--f", "x", "--g", "x+1", "--cap-residues", "0"], "0"),
     ],
@@ -540,7 +560,7 @@ def test_cap_residues_flag_truncates(capsys):
 def test_exit_3_on_invariant_breach(capsys, monkeypatch):
     from polygcd.errors import InvariantBreach
 
-    def broken(f, g, cap):
+    def broken(f, g):
         raise InvariantBreach("forced for the exit-code test")
 
     monkeypatch.setattr(polygcd.cli, "minimal_period", broken)
@@ -679,7 +699,7 @@ def test_witness_too_long_to_print_exits_2(capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["period", "brute-force"])
+@pytest.mark.parametrize("command", ["brute-force"])
 def test_period_cap_message_too_long_to_print_exits_2(capsys, command):
     status, out, err = run_cli(capsys, command, "--f", "x+2^16000", "--g", "x+1")
     assert (status, out) == (2, "")
@@ -723,10 +743,19 @@ def test_integers_at_the_print_limit_still_print(capsys, monkeypatch):
         f"{longest}\n",
         "",
     )
-    assert run_cli(capsys, "period", "--f", f"x+{longest}", "--g", "x") == (
+    assert run_cli(capsys, "brute-force", "--f", f"x+{longest}", "--g", "x") == (
         2,
         "",
         f"error: period {longest} exceeds the brute-force cap 1000000\n",
+    )
+    # 2^14284 has LIMIT digits, 2^14285 one more.
+    assert len(str(2**14284)) == LIMIT
+    assert run_cli(capsys, "period", "--f", "x+2^14284", "--g", "x") == (0, f"{2**14284}\n", "")
+    assert run_cli(capsys, "period", "--f", "x+2^14285", "--g", "x") == (
+        2,
+        "",
+        f"error: the period has more than {LIMIT} digits,"
+        " the interpreter's limit for printing an integer\n",
     )
     big = 10**2000
     monkeypatch.setattr("sys.stdin", io.StringIO(f"{big} 0\n0 {big + 1}\n"))
@@ -743,7 +772,7 @@ ANALYZE_USAGE = """\
 usage: polygcd analyze [-h] --f EXPR --g EXPR [--json] [--cap-brute N]
                        [--cap-residues N] [--cap-divisors N] [--verify]
 """
-PERIOD_USAGE = "usage: polygcd period [-h] --f EXPR --g EXPR [--cap-brute N]\n"
+PERIOD_USAGE = "usage: polygcd period [-h] --f EXPR --g EXPR\n"
 
 # (argv, exit code, stdout, stderr) at COLUMNS=80: every byte of help,
 # usage and error text is argparse's own.
@@ -816,10 +845,9 @@ options:
 """, ""),
     (["period", "-h"], 0, PERIOD_USAGE + """
 options:
-  -h, --help     show this help message and exit
-  --f EXPR       first monic polynomial, e.g. 'x^2+3'
-  --g EXPR       second monic polynomial
-  --cap-brute N
+  -h, --help  show this help message and exit
+  --f EXPR    first monic polynomial, e.g. 'x^2+3'
+  --g EXPR    second monic polynomial
 """, ""),
     ([], 1, "", TOP_USAGE + "polygcd: error: the following arguments are required: subcommand\n"),
     (["foo"], 1, "", TOP_USAGE + (
@@ -832,8 +860,10 @@ options:
     (["witness", "--f", "x", "--g", "x+1", "extra"], 1, "", TOP_USAGE + (
         "polygcd: error: unrecognized arguments: extra\n"
     )),
-    (["period", "--f", "x", "--g", "x+1", "--cap-brute", "abc"], 1, "", PERIOD_USAGE + (
-        "polygcd period: error: argument --cap-brute: invalid int value: 'abc'\n"
+    # period reads no cap: argparse refuses the option, as it does every
+    # option a subcommand does not take.
+    (["period", "--f", "x", "--g", "x+1", "--cap-brute", "abc"], 1, "", TOP_USAGE + (
+        "polygcd: error: unrecognized arguments: --cap-brute abc\n"
     )),
     (["brute-force", "--f", "x", "--g", "x+1", "--cap-residues", "3"], 1, "", TOP_USAGE + (
         "polygcd: error: unrecognized arguments: --cap-residues 3\n"
@@ -888,7 +918,7 @@ GOLDEN_FAMILY = [(k, a) for k in (5, 8, 11) for a in (-2, -1, 1, 2)] + [
 # sha256 of the output of every GOLDEN_COMMANDS line on every golden_pairs()
 # pair, as golden_digest() frames it.  Recompute it only for a deliberate
 # output change, and say which change in CHANGES.md.
-GOLDEN_SHA256 = "902323b31662f0f81ff824ce2fc43bc9ae2e05d42895dbc69aec7b03382d9072"
+GOLDEN_SHA256 = "37d9a4189aa4d3785152ae649de2c83d060c6deb4378bb1332ee995a2d0d9473"
 
 
 def golden_pairs():

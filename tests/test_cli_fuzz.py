@@ -102,7 +102,7 @@ def command_lines(draw):
     for name in sorted(options):
         argv += [name, draw(caps)] if name.startswith("--cap") else [name]
     # Always cap the oracle where it could run, so that no example scans far.
-    if command in ("analyze", "brute-force", "period"):
+    if command in ("analyze", "brute-force"):
         argv += ["--cap-brute", draw(brute_caps)]
     if command == "snf" and draw(one_in_ten):
         argv += ["--matrix", "/nonexistent/matrix.txt"]
