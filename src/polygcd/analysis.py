@@ -398,16 +398,14 @@ def _shift(F: list[int], t: int, p: int, q: int) -> list[int]:
 def minimal_period(f: MonicIntPoly, g: MonicIntPoly) -> int:
     """Smallest positive t with gcd(f(n), g(n)) = gcd(f(n+t), g(n+t)) for all n.
 
-    It is the product of the local minimal periods, one per p^e exactly
-    dividing r: p^e when p does not divide s1, else the lifting tree's.  No
-    |r| values are scanned and no histogram is built.
+    It is the product of the local minimal periods of _local_table, one per
+    p^e exactly dividing r: p^e when p does not divide s1, else the lifting
+    tree's.  No |r| values are scanned.
     """
     r, (s1, _) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
     if r == 0:
         raise InputError("resultant is zero: no finite period exists in general")
-    return math.prod(
-        p**e if s1 % p else _lifting_tree(f, g, p, e)[1] for p, e in factor(r).factors
-    )
+    return math.prod(_local_table(f, g, p, e, s1)[1] for p, e in factor(r).factors)
 
 
 def coprime_witness(f: MonicIntPoly, g: MonicIntPoly) -> int:

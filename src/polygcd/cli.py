@@ -357,6 +357,12 @@ _SUBCOMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads an expression such as -1+x^2 after --f or --g as an
+    # option; joined into --f=-1+x^2 it is read as the value, as typed.
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in ("--f", "--g") and re.match(r"-[0-9x(]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
     try:
         # resultant, snf, witness and period take no caps; brute-force takes

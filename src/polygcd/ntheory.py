@@ -11,9 +11,11 @@ by its exact integer root before Pollard rho, and every copy of a prime
 found is divided out before the next search.  Pollard rho draws its
 starting points from one generator with a fixed seed, ``POLLARD_SEED``;
 a factorization is unique, so the seed only picks which random walk
-finds the primes, and every run takes the same walk.  All rho walks of
-one factor call share the work budget ``RHO_BUDGET`` with its large
-primality tests; a call that would exceed it raises CapExceeded.
+finds the primes, and every run takes the same walk.  One factor call
+has one work budget, ``RHO_BUDGET``, which pays for every step whose work
+grows with the piece: each root of the perfect-power search, each large
+primality test and each batch of rho steps is charged before it runs, and
+a call that would exceed the budget raises CapExceeded.
 """
 from __future__ import annotations
 
@@ -43,10 +45,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 DIVISOR_CAP = 2**20
 POLLARD_SEED = 0
 
-# Pollard rho's work budget per factor call, in steps on a cofactor of a
-# few hundred bits (about a microsecond each).  A step on an m-bit cofactor
-# counts 1 + (m/400)^2 of them, as its multiplications cost, and a
-# Baillie-PSW test on m bits 3 m (1 + (m/400)^2), as timed against the steps.
+# The work budget per factor call, in rho steps on a cofactor of a few
+# hundred bits (about a microsecond each).  A step on an m-bit cofactor
+# counts 1 + (m/400)^2 of them, as its multiplications cost; a Baillie-PSW
+# test on m bits counts 3 m steps and a k-th root one, as timed against them.
 RHO_BUDGET = 10**7
 
 
@@ -198,11 +200,11 @@ def _half(x: int, n: int) -> int:
 
 class Factorization(Frozen):
     """Signed prime factorization: sign * prod(p**e) == n, primes ascending,
-    each p checked by is_prime."""
+    each p checked by is_prime (factor passes primes it has just tested)."""
 
     __slots__ = __match_args__ = ("n", "factors")
 
-    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]):
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...], *, _tested: bool = False):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "factors", factors)
         if n == 0:
@@ -212,7 +214,7 @@ class Factorization(Frozen):
         for p, e in factors:
             if p <= previous or e < 1:
                 raise InputError("primes must be strictly increasing, exponents >= 1")
-            if not is_prime(p):
+            if not (_tested or is_prime(p)):
                 raise InputError("every factor must be prime")
             previous = p
             product *= p**e
@@ -232,7 +234,7 @@ def factor(n: int) -> Factorization:
 
     Trial division by the primes below 1000, then Brent's variant of
     Pollard rho on the cofactor; every reported prime passes is_prime.
-    Raises CapExceeded when rho and large primality tests would need more than RHO_BUDGET.
+    Raises CapExceeded when its work would need more than RHO_BUDGET.
     """
     if n == 0:
         raise InputError("0 has no prime factorization")
@@ -243,7 +245,7 @@ def factor(n: int) -> Factorization:
             m //= p
             e += 1
         counts[p] = e
-    return Factorization(n, tuple(sorted(counts.items())))
+    return Factorization(n, tuple(sorted(counts.items())), _tested=True)
 
 
 def _trial_divide(m: int) -> tuple[dict[int, int], int]:
@@ -271,6 +273,14 @@ def _distinct_primes(m: int) -> set[int]:
     pieces = [m]
     rng = None
     budget = RHO_BUDGET
+
+    def charge(steps, piece, refusal):
+        # Pay for steps on piece before they run, or refuse them all.
+        nonlocal budget
+        budget -= steps * (1 + (piece.bit_length() / 400) ** 2)
+        if budget < 0:
+            raise CapExceeded(f"{refusal.format(_digits(piece))} work budget of {RHO_BUDGET} steps")
+
     while pieces:
         piece = pieces.pop()
         for p in primes:
@@ -278,44 +288,44 @@ def _distinct_primes(m: int) -> set[int]:
                 piece //= p
         if piece == 1:
             continue
-        root = _perfect_power_root(piece)
+        search = "a perfect-power search on a {}-digit cofactor would exceed the"
+        root = _perfect_power_root(piece, lambda steps: charge(steps, piece, search))
         if root is not None:
             pieces.append(root)
             continue
         if piece >= MR_DETERMINISTIC_BOUND:
-            bits = piece.bit_length()
-            budget -= 3 * bits * (1 + (bits / 400) ** 2)
-            if budget < 0:
-                raise CapExceeded(
-                    f"a primality test on a {_digits(piece)}-digit cofactor would"
-                    f" exceed the work budget of {RHO_BUDGET} steps"
-                )
+            test = "a primality test on a {}-digit cofactor would exceed the"
+            charge(3 * piece.bit_length(), piece, test)
         if is_prime(piece):
             primes.add(piece)
             continue
         if rng is None:
             rng = random.Random(POLLARD_SEED)
-        d, budget = _pollard_brent(piece, rng, budget)
+        rho = "Pollard rho did not split a {}-digit cofactor within its"
+        d = _pollard_brent(piece, rng, lambda steps: charge(steps, piece, rho))
         pieces += [piece // d, d]
     return primes
 
 
-def _perfect_power_root(m: int) -> int | None:
+def _perfect_power_root(m: int, pay) -> int | None:
     # b with m = b**k for a prime k, or None.  m has no prime factor below
-    # 1000, so b > 1000 and k <= log_1000(m).
-    k = 2
-    while 1000**k <= m:
+    # 1000, so b > 1000 and k <= log_1000(m) < bits / log2(1000).  Each root
+    # is paid for before it is taken.
+    for k in range(2, int(m.bit_length() / math.log2(1000)) + 1):
         if is_prime(k):
+            pay(1)
             b = _iroot(m, k)
             if b**k == m:
                 return b
-        k += 1
     return None
 
 
 def _iroot(m: int, k: int) -> int:
-    # floor(m ** (1/k)) for m >= 1, by Newton's method from above.
-    x = 1 << -(-m.bit_length() // k)
+    # floor(m ** (1/k)) for m >= 1, by Newton's method from 2^e, e just above
+    # log2(m) / k by more than its rounding: a relative 2^-40 above the root.
+    e = math.log2(m) / k * (1 + 2**-45) + 2**-40
+    shift = max(int(e) - 52, 0)
+    x = math.ceil(2 ** (e - shift)) << shift
     while True:
         y = ((k - 1) * x + m // x ** (k - 1)) // k
         if y >= x:
@@ -323,20 +333,9 @@ def _iroot(m: int, k: int) -> int:
         x = y
 
 
-def _pollard_brent(n: int, rng: random.Random, budget: float) -> tuple[int, float]:
-    # A nontrivial factor of odd composite n, and what is left of budget
-    # once its steps are paid for, each at 1 + (bits of n / 400)^2.
-    weight = 1 + (n.bit_length() / 400) ** 2
-
-    def spend(steps):
-        nonlocal budget
-        budget -= steps * weight
-        if budget < 0:
-            raise CapExceeded(
-                f"Pollard rho did not split a {_digits(n)}-digit"
-                f" cofactor within its work budget of {RHO_BUDGET} steps"
-            )
-
+def _pollard_brent(n: int, rng: random.Random, pay) -> int:
+    # A nontrivial factor of odd composite n; pay(steps) is called before
+    # each batch of steps.
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -345,13 +344,13 @@ def _pollard_brent(n: int, rng: random.Random, budget: float) -> tuple[int, floa
         x = ys = y
         while g == 1:
             x = y
-            spend(r)
+            pay(r)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                spend(min(m, r - k))
+                pay(min(m, r - k))
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
@@ -360,18 +359,19 @@ def _pollard_brent(n: int, rng: random.Random, budget: float) -> tuple[int, floa
             r <<= 1
         if g == n:
             g = 1
-            spend(m)  # the backtrack repeats at most one batch
+            pay(m)  # the backtrack repeats at most one batch
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = math.gcd(x - ys, n)
         if 1 < g < n:
-            return g, budget
+            return g
 
 
 def _digits(n: int) -> int:
-    import decimal  # here: only the budget's messages load it
-
-    return decimal.Decimal(n).adjusted() + 1  # past str's digit limit too
+    # The decimal digits of n != 0, past str's digit limit and in linear time.
+    n = abs(n)
+    d = int(n.bit_length() * math.log10(2)) + 1
+    return d - (n < 10 ** (d - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from ._frozen import Frozen
 from .errors import CapExceeded, InputError, ParseError
+from .ntheory import _digits
 
 __all__ = [
     "IntPoly",
@@ -168,9 +169,7 @@ class MonicIntPoly(IntPoly):
             try:
                 shown = f"is {self.coeffs[0]}"
             except ValueError:  # too long to print: name its digit count instead
-                import decimal  # imported here: only this message loads it
-
-                shown = f"has {decimal.Decimal(self.coeffs[0]).adjusted() + 1} digits"
+                shown = f"has {_digits(self.coeffs[0])} digits"
             raise InputError(f"is not monic: leading coefficient {shown}, expected 1")
 
     @classmethod

@@ -286,7 +286,8 @@ def test_rho_out_of_budget_exits_2(capsys, monkeypatch, command):
 @pytest.mark.parametrize("command", ["analyze", "period"])
 def test_primality_test_beyond_the_budget_exits_2(capsys, command):
     # r = 2^16000 - 1 leaves a 4793-digit cofactor after trial division; its
-    # Baillie-PSW test would be charged 7.6 * 10^7 steps, so it is refused unrun.
+    # perfect-power search fits the budget, but its Baillie-PSW test would be
+    # charged 7.6 * 10^7 steps, so it is refused unrun.
     start = time.perf_counter()
     assert run_cli(capsys, command, "--f", "x+2^16000", "--g", "x+1") == (
         2,
@@ -294,7 +295,26 @@ def test_primality_test_beyond_the_budget_exits_2(capsys, command):
         "error: a primality test on a 4793-digit cofactor would exceed"
         " the work budget of 10000000 steps\n",
     )
-    assert time.perf_counter() - start < 10
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize(
+    "k, refused",
+    [(3, "a primality test on a 14450-digit"), (100, "a perfect-power search on a 481645-digit")],
+)
+@pytest.mark.parametrize("command", ["analyze", "period"])
+def test_factoring_a_huge_resultant_exits_2_quickly(capsys, command, k, refused):
+    # r has some 48 000 bits for k = 3 and 1.6 million for k = 100.  The
+    # budget pays for the search's roots: at k = 3 they fit and the
+    # primality test does not, at k = 100 not even one root fits.
+    start = time.perf_counter()
+    argv = (command, "--f", f"x^{k}+2^16000", "--g", f"x^{k}+x+3")
+    assert run_cli(capsys, *argv) == (
+        2,
+        "",
+        f"error: {refused} cofactor would exceed the work budget of 10000000 steps\n",
+    )
+    assert time.perf_counter() - start < 5
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +412,36 @@ def test_exit_1_names_the_expression_that_is_not_monic(capsys, text, message):
 
 
 def test_an_expression_starting_with_minus_answers_as_f_equals(capsys):
-    # argparse takes a separate "-x+2*x" for an option; "--f=-x+2*x" is one argument.
+    # argparse alone would take a separate "-x+2*x" for an option; main joins
+    # it to --f, so both spellings answer.
     assert run_cli(capsys, "resultant", "--f=-x+2*x", "--g=-3+x") == (0, "-3\n", "")
+    assert run_cli(capsys, "resultant", "--f", "-x+2*x", "--g", "-3+x") == (0, "-3\n", "")
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [("-1+x^2", "x^2+3"), ("x^2+3", "-1+x^2"), ("-(x+1)+2*x", "-3+x^2"), ("-x^2+2*x^2", "(x+1)^2")],
+)
+@pytest.mark.parametrize("command", ["analyze", "witness", "period"])
+def test_unary_minus_after_f_or_g_prints_the_bytes_of_f_equals(capsys, command, f, g):
+    joined = run_cli(capsys, command, f"--f={f}", f"--g={g}")
+    assert joined[0] == 0
+    assert run_cli(capsys, command, "--f", f, "--g", g) == joined
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--f", "-h", "--g", "x"], ["--f", "--g", "x"], ["--g", "x", "--f"], ["--f", "-$x", "--g", "x"]],
+)
+def test_options_and_missing_values_after_f_exit_1_as_before(capsys, argv):
+    # Only a token that starts like an expression (-, then a digit, x or a
+    # parenthesis) is joined to --f.
     with pytest.raises(SystemExit) as exc:
-        main(["resultant", "--f", "-x+2*x", "--g", "x-3"])
+        main(["period", *argv])
     assert exc.value.code == 1
-    assert "argument --f: expected one argument" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        "polygcd period: error: argument --f: expected one argument\n"
+    )
 
 
 def test_exit_2_on_brute_force_cap(capsys):

@@ -94,8 +94,9 @@ def command_lines(draw):
     if command != "snf" or draw(one_in_ten):
         for name in ("--f", "--g"):
             if not draw(one_in_ten):  # now and then leave one out
-                # --f=-x, since argparse reads a separate -x as an option
-                argv.append(f"{name}={draw(expressions())}")
+                text = draw(expressions())
+                # --f=-x or --f -x, which main joins into the first
+                argv += [f"{name}={text}"] if draw(st.booleans()) else [name, text]
     options = draw(st.sets(st.sampled_from(OPTIONS.get(command) or ["-h"])))
     if draw(one_in_ten):  # one that this subcommand may refuse
         options.add(draw(st.sampled_from(ALL_OPTIONS)))

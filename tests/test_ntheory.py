@@ -18,7 +18,7 @@ from polygcd import (
     resultant_prs,
 )
 from polygcd.errors import CapExceeded, InputError
-from polygcd.ntheory import MR_DETERMINISTIC_BOUND, _baillie_psw
+from polygcd.ntheory import MR_DETERMINISTIC_BOUND, _baillie_psw, _digits, _iroot
 
 from support import int_gcd
 
@@ -264,10 +264,12 @@ def test_rho_budget_is_shared_and_raises_cap_exceeded(monkeypatch):
     spent = []
     search = polygcd.ntheory._pollard_brent
 
-    def recording(n, rng, budget):
-        d, left = search(n, rng, budget)
-        spent.append(budget - left)
-        return d, left
+    def recording(n, rng, pay):
+        # The steps rho pays for, each at the weight of an n-bit step.
+        paid = []
+        d = search(n, rng, lambda steps: (paid.append(steps), pay(steps)))
+        spent.append(sum(paid) * (1 + (n.bit_length() / 400) ** 2))
+        return d
 
     budget = polygcd.ntheory.RHO_BUDGET
     monkeypatch.setattr(polygcd.ntheory, "_pollard_brent", recording)
@@ -289,6 +291,55 @@ def test_rho_budget_is_shared_and_raises_cap_exceeded(monkeypatch):
     monkeypatch.setattr(polygcd.ntheory, "RHO_BUDGET", max(spent) + 1)
     with pytest.raises(CapExceeded):
         factor(n)
+
+
+def test_root_search_is_charged_to_the_budget(monkeypatch):
+    # The square root of the 40-bit semiprime is charged 1.01 steps first.
+    monkeypatch.setattr(polygcd.ntheory, "RHO_BUDGET", 1)
+    with pytest.raises(CapExceeded) as exc:
+        factor(SEMIPRIME)
+    assert str(exc.value) == (
+        "a perfect-power search on a 13-digit cofactor would exceed the work budget of 1 steps"
+    )
+
+
+def test_factor_tests_a_large_prime_once(monkeypatch):
+    # 2^3217 - 1 is prime; Factorization does not test again what factor has.
+    tested = []
+    test = polygcd.ntheory.is_prime
+
+    def counting(n):
+        if n >= MR_DETERMINISTIC_BOUND:
+            tested.append(n)
+        return test(n)
+
+    monkeypatch.setattr(polygcd.ntheory, "is_prime", counting)
+    p = 2**3217 - 1
+    assert factor(p).factors == ((p, 1),)
+    assert tested == [p]
+    with pytest.raises(InputError, match="every factor must be prime"):
+        Factorization(p * p, ((p * p, 1),))  # a caller's factors are tested
+
+
+def test_iroot_is_the_floor_of_the_kth_root():
+    rng = random.Random(19)
+    cases = [
+        (rng.getrandbits(rng.randrange(1, 50_001)) | 1, rng.randrange(2, 3000)) for _ in range(200)
+    ]
+    cases += [(2**50_000 - 1, k) for k in (2, 3, 1009, 4999)] + [(1, 2), (1, 1009)]
+    for b, k in [(1001, 2), (1009, 3), (2**64 + 13, 3), (7, 1009), (3, 5003), (10**9 + 7, 2003)]:
+        cases += [(b**k - 1, k), (b**k, k), (b**k + 1, k)]
+    for m, k in cases:
+        r = _iroot(m, k)
+        assert r**k <= m < (r + 1) ** k, (m.bit_length(), k)
+
+
+def test_digits_counts_exactly():
+    rng = random.Random(16000)
+    values = [rng.getrandbits(rng.randrange(1, 4000)) + 1 for _ in range(20_000)]
+    values += [10**k for k in range(3000)] + [10**k - 1 for k in range(1, 3000)]
+    for n in values:
+        assert _digits(n) == _digits(-n) == len(str(n)), n
 
 
 # ---------------------------------------------------------------------------
