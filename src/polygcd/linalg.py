@@ -13,9 +13,8 @@ the atlas reads its generator.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from ._frozen import Frozen
 from .errors import InputError, InvariantBreach
 from .poly import IntPoly, _content, _pseudo_rem
 
@@ -28,12 +27,14 @@ __all__ = [
 ]
 
 
-class IntMatrix(Frozen):
+class IntMatrix(
+    NamedTuple("IntMatrix", [("rows", int), ("cols", int), ("entries", tuple[int, ...])])
+):
     """Dense rectangular integer matrix; entries are row-major."""
 
-    __slots__ = __match_args__ = ("rows", "cols", "entries")
+    __slots__ = ()
 
-    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]):
         rows, cols = operator.index(rows), operator.index(cols)
         if rows < 1 or cols < 1:
             raise InputError("matrix dimensions must be positive")
@@ -42,9 +43,11 @@ class IntMatrix(Frozen):
             raise InputError(
                 f"expected {rows * cols} entries, got {len(entries)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        return super().__new__(cls, rows, cols, entries)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so it validates too
+        return cls(*iterable)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> IntMatrix:
@@ -67,14 +70,6 @@ class IntMatrix(Frozen):
     def to_rows(self) -> list[list[int]]:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise InputError("matrix shapes do not allow multiplication")
-        cols = list(zip(*other.to_rows()))
-        return IntMatrix.from_rows(
-            [[sum(map(operator.mul, row, col)) for col in cols] for row in self.to_rows()]
-        )
 
     def __str__(self) -> str:
         rows = self.to_rows()

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from ._frozen import Frozen
 from .errors import CapExceeded, InputError
 
 __all__ = [
@@ -198,15 +197,16 @@ def _half(x: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class Factorization(Frozen):
+class Factorization(
+    NamedTuple("Factorization", [("n", int), ("factors", tuple[tuple[int, int], ...])])
+):
     """Signed prime factorization: sign * prod(p**e) == n, primes ascending,
     each p checked by is_prime (factor passes primes it has just tested)."""
 
-    __slots__ = __match_args__ = ("n", "factors")
+    __slots__ = ()
 
-    def __init__(self, n: int, factors: tuple[tuple[int, int], ...], *, _tested: bool = False):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "factors", factors)
+    def __new__(cls, n: int, factors: tuple[tuple[int, int], ...], *, _tested: bool = False):
+        self = super().__new__(cls, n, factors)
         if n == 0:
             raise InputError("factorization needs a nonzero integer")
         product = self.sign
@@ -220,6 +220,11 @@ class Factorization(Frozen):
             product *= p**e
         if product != n:
             raise InputError("factor product does not reproduce the integer")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so it validates too
+        return cls(*iterable)
 
     @property
     def sign(self) -> int:

@@ -1,4 +1,4 @@
-"""Integer polynomials: parsing, arithmetic, evaluation, and gcd over Z[x].
+"""Integer polynomials: parsing, evaluation, and gcd over Z[x].
 
 Coefficient order is LEADING-FIRST throughout the package: ``(1, 0, 3)``
 is ``x^2 + 3``.  This is the reverse of the constant-first convention many
@@ -18,7 +18,6 @@ import sys
 from functools import reduce
 from typing import NamedTuple
 
-from ._frozen import Frozen
 from .errors import CapExceeded, InputError, ParseError
 from .ntheory import _digits
 
@@ -40,17 +39,21 @@ MAX_DEGREE = 100
 MAX_COEFF_BITS = 2**14
 
 
-class IntPoly(Frozen):
+class IntPoly(NamedTuple("IntPoly", [("coeffs", tuple[int, ...])])):
     """Dense univariate polynomial over Z, coefficients leading-first."""
 
-    __slots__ = __match_args__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: tuple[int, ...]):
+    def __new__(cls, coeffs: tuple[int, ...]):
         coeffs = tuple(map(operator.index, coeffs))
         i = 0
         while i < len(coeffs) and coeffs[i] == 0:
             i += 1
-        object.__setattr__(self, "coeffs", coeffs[i:])
+        return super().__new__(cls, coeffs[i:])
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so it validates too
+        return cls(*iterable)
 
     @property
     def degree(self) -> int:
@@ -72,62 +75,6 @@ class IntPoly(Frozen):
         for c in self.coeffs:
             acc = acc * n + c
         return acc
-
-    # Unlike Frozen, equal to a MonicIntPoly with the same coefficients.
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IntPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: IntPoly | int) -> IntPoly:
-        a, b = self.coeffs, _coeffs_of(other)
-        return IntPoly(_tail_zip(a, b, lambda x, y: x + y))
-
-    def __radd__(self, other: int) -> IntPoly:
-        return self + other
-
-    def __sub__(self, other: IntPoly | int) -> IntPoly:
-        a, b = self.coeffs, _coeffs_of(other)
-        return IntPoly(_tail_zip(a, b, lambda x, y: x - y))
-
-    def __rsub__(self, other: int) -> IntPoly:
-        return (-self) + other
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: IntPoly | int) -> IntPoly:
-        b = _coeffs_of(other)
-        a = self.coeffs
-        if not a or not b:
-            return IntPoly(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return IntPoly(tuple(out))
-
-    def __rmul__(self, other: int) -> IntPoly:
-        return self * other
-
-    def __pow__(self, exponent: int) -> IntPoly:
-        if exponent < 0:
-            raise InputError("polynomial exponent must be nonnegative")
-        result = IntPoly((1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -153,16 +100,12 @@ class IntPoly(Frozen):
 
 
 class MonicIntPoly(IntPoly):
-    """An IntPoly whose leading coefficient is exactly 1 and degree is >= 1.
-
-    Arithmetic inherited from IntPoly returns plain IntPoly values, since
-    sums and products of monic polynomials need not be monic.
-    """
+    """An IntPoly whose leading coefficient is exactly 1 and degree is >= 1."""
 
     __slots__ = ()
 
-    def __init__(self, coeffs: tuple[int, ...]):
-        super().__init__(coeffs)
+    def __new__(cls, coeffs: tuple[int, ...]):
+        self = super().__new__(cls, coeffs)
         if self.degree < 1:
             raise InputError(f"expands to degree {self.degree}; need degree >= 1")
         if self.coeffs[0] != 1:
@@ -171,27 +114,11 @@ class MonicIntPoly(IntPoly):
             except ValueError:  # too long to print: name its digit count instead
                 shown = f"has {_digits(self.coeffs[0])} digits"
             raise InputError(f"is not monic: leading coefficient {shown}, expected 1")
+        return self
 
     @classmethod
     def parse(cls, text: str) -> MonicIntPoly:
         return cls(parse_poly(text).coeffs)
-
-
-def _coeffs_of(value: IntPoly | int) -> tuple[int, ...]:
-    if isinstance(value, IntPoly):
-        return value.coeffs
-    if isinstance(value, int):
-        return (value,)
-    raise TypeError(f"expected IntPoly or int, got {type(value).__name__}")
-
-
-def _tail_zip(a, b, op) -> tuple[int, ...]:
-    # Coefficients align at the constant term, so zip the reversed tuples.
-    out = [
-        op(x, y)
-        for x, y in itertools.zip_longest(reversed(a), reversed(b), fillvalue=0)
-    ]
-    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +164,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    # Each rule returns the expanded polynomial as a leading-first list of
+    # coefficients with no leading zero; parse_poly makes the one IntPoly.
     def __init__(self, text: str):
         self._tokens = _tokenize(text)
         self._index = 0
@@ -249,24 +178,24 @@ class _Parser:
         self._index += 1
         return tok
 
-    def expr(self) -> IntPoly:
+    def expr(self) -> list[int]:
         poly = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
             rhs = self.term()
-            poly = poly + rhs if op == "+" else poly - rhs
+            poly = _add(poly, rhs if op == "+" else _neg(rhs))
         return poly
 
-    def term(self) -> IntPoly:
+    def term(self) -> list[int]:
         poly = self.factor()
         while self.peek().kind == "*":
             pos = self.advance().pos
             rhs = self.factor()
-            _check_size(poly.degree + rhs.degree, _log2_l1(poly) + _log2_l1(rhs), 1, pos)
-            poly = poly * rhs
+            _check_size(len(poly) + len(rhs) - 2, _log2_l1(poly) + _log2_l1(rhs), 1, pos)
+            poly = _mul(poly, rhs)
         return poly
 
-    def factor(self) -> IntPoly:
+    def factor(self) -> list[int]:
         base = self.base()
         if self.peek().kind == "^":
             self.advance()
@@ -277,16 +206,17 @@ class _Parser:
                 )
             self.advance()
             exponent = int(tok.text)
-            _check_size(base.degree * exponent, _log2_l1(base), exponent, tok.pos)
-            base = base**exponent
+            _check_size((len(base) - 1) * exponent, _log2_l1(base), exponent, tok.pos)
+            base = _pow(base, exponent)
         return base
 
-    def base(self) -> IntPoly:
+    def base(self) -> list[int]:
         tok = self.advance()
         if tok.kind == "int":
-            return IntPoly((int(tok.text),))
+            value = int(tok.text)
+            return [value] if value else []
         if tok.kind == "x":
-            return IntPoly((1, 0))
+            return [1, 0]
         if tok.kind == "(":
             poly = self.expr()
             closing = self.advance()
@@ -294,10 +224,45 @@ class _Parser:
                 raise ParseError("expected ')'", closing.pos)
             return poly
         if tok.kind == "-":
-            return -self.factor()
+            return _neg(self.factor())
         if tok.kind == "eof":
             raise ParseError("unexpected end of input", tok.pos)
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    # Coefficients align at the constant term, so add the reversed lists.
+    out = [x + y for x, y in itertools.zip_longest(reversed(a), reversed(b), fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out[::-1]
+
+
+def _neg(a: list[int]) -> list[int]:
+    return [-c for c in a]
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _pow(base: list[int], exponent: int) -> list[int]:
+    result = [1]
+    while exponent:
+        if exponent & 1:
+            result = _mul(result, base)
+        exponent >>= 1
+        if exponent:
+            base = _mul(base, base)
+    return result
 
 
 def _check_size(degree: int, log2_l1: float, exponent: int, pos: int) -> None:
@@ -315,8 +280,8 @@ def _check_size(degree: int, log2_l1: float, exponent: int, pos: int) -> None:
         )
 
 
-def _log2_l1(poly: IntPoly) -> float:
-    return math.log2(sum(map(abs, poly.coeffs)) or 1)
+def _log2_l1(coeffs: list[int]) -> float:
+    return math.log2(sum(map(abs, coeffs)) or 1)
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -335,7 +300,7 @@ def parse_poly(text: str) -> IntPoly:
     trailing = parser.peek()
     if trailing.kind != "eof":
         raise ParseError(f"unexpected {trailing.text!r}", trailing.pos)
-    return poly
+    return IntPoly(poly)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ unique, d is.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from .errors import InvariantBreach
@@ -124,12 +125,12 @@ def _combine_rows(mat, i, j, w, x, y, z, start=0):
 
 
 def _verify(matrix: IntMatrix, result: SnfResult) -> None:
-    product = result.U @ matrix @ result.V
+    product = _product(_product(result.U.to_rows(), matrix.to_rows()), result.V.to_rows())
     size = len(result.d)
-    for i in range(product.rows):
-        for j in range(product.cols):
+    for i, row in enumerate(product):
+        for j, entry in enumerate(row):
             expected = result.d[i] if i == j and i < size else 0
-            if product.at(i, j) != expected:
+            if entry != expected:
                 raise InvariantBreach("U*M*V does not reconstruct diag(d)")
     for i in range(size - 1):
         da, db = result.d[i], result.d[i + 1]
@@ -148,3 +149,8 @@ def _verify(matrix: IntMatrix, result: SnfResult) -> None:
         unimodular = abs(det_bareiss(result.U)) == 1 == abs(det_bareiss(result.V))
     if not unimodular:
         raise InvariantBreach("transform determinant is not +-1")
+
+
+def _product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]

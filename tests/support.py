@@ -87,6 +87,21 @@ def naive_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def naive_add(a: list[int], b: list[int]) -> list[int]:
+    """Sum of leading-first coefficient lists, aligned at the constant term."""
+    width = max(len(a), len(b))
+    a, b = [0] * (width - len(a)) + list(a), [0] * (width - len(b)) + list(b)
+    return [x + y for x, y in zip(a, b)]
+
+
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Schoolbook product of two integer matrices."""
+    assert a.cols == b.rows
+    return IntMatrix.from_rows(
+        [[sum(a.at(i, k) * b.at(k, j) for k in range(a.cols)) for j in range(b.cols)] for i in range(a.rows)]
+    )
+
+
 def minor_gcd_products(matrix: IntMatrix) -> list[int]:
     """g_i = gcd of all i x i minors, for i = 1 .. min(rows, cols).
 

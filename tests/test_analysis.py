@@ -36,7 +36,7 @@ from polygcd.errors import InputError
 from polygcd.linalg import _subresultant_resultant
 from polygcd.ntheory import _trial_divide
 
-from support import acceptance_pair_pool, naive_local_profile, random_monic
+from support import acceptance_pair_pool, naive_add, naive_local_profile, naive_mul, random_monic
 
 
 P52 = 8936582237915716659950962253358945635793453256935559
@@ -521,8 +521,13 @@ def test_lifting_tree_matches_the_naive_oracle_on_stress_family_prime_powers():
 
 
 def _lower(rng, degree):
-    # A random integer polynomial of degree below ``degree``.
-    return IntPoly(tuple(rng.randint(-9, 9) for _ in range(degree)))
+    # The coefficients of a random integer polynomial of degree below ``degree``.
+    return [rng.randint(-9, 9) for _ in range(degree)]
+
+
+def _product_plus(a, b, low, scale):
+    # a*b + scale*low, monic since low has lower degree than a*b.
+    return MonicIntPoly(naive_add(naive_mul(a.coeffs, b.coeffs), [scale * c for c in low]))
 
 
 @pytest.mark.parametrize("p, e", [(2, 9), (3, 6), (5, 4), (7, 3)])
@@ -532,8 +537,8 @@ def test_lifting_tree_matches_the_naive_oracle_with_a_planted_common_factor(p, e
     for _ in range(375):
         h = random_monic(rng, max_degree=3)
         u, w = random_monic(rng, max_degree=2), random_monic(rng, max_degree=2)
-        f = MonicIntPoly((h * u + _lower(rng, h.degree + u.degree) * p ** rng.randint(1, e)).coeffs)
-        g = MonicIntPoly((h * w + _lower(rng, h.degree + w.degree) * p ** rng.randint(1, e)).coeffs)
+        f = _product_plus(h, u, _lower(rng, h.degree + u.degree), p ** rng.randint(1, e))
+        g = _product_plus(h, w, _lower(rng, h.degree + w.degree), p ** rng.randint(1, e))
         assert _lifting_tree(f, g, p, e) == naive_local_profile(f, g, p, e), (f, g)
 
 
@@ -545,8 +550,8 @@ def test_lifting_tree_matches_the_naive_oracle_where_every_t_is_a_root(p, e):
     vanishing = MonicIntPoly((1,) + (0,) * (p - 2) + (-1, 0))
     for _ in range(80):
         u, w = random_monic(rng, max_degree=2), random_monic(rng, max_degree=2)
-        f = MonicIntPoly((vanishing * u + _lower(rng, p + u.degree) * p).coeffs)
-        g = MonicIntPoly((vanishing * w + _lower(rng, p + w.degree) * p).coeffs)
+        f = _product_plus(vanishing, u, _lower(rng, p + u.degree), p)
+        g = _product_plus(vanishing, w, _lower(rng, p + w.degree), p)
         assert _lifting_tree(f, g, p, e) == naive_local_profile(f, g, p, e), (f, g)
 
 

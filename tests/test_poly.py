@@ -163,20 +163,28 @@ def test_monic_equals_plain_poly_with_same_coeffs():
 
 @given(coeff_lists(), coeff_lists())
 def test_arithmetic_matches_naive_oracles(a, b):
+    # The parser is what expands sums, products and powers.
     pa, pb = IntPoly(tuple(a)), IntPoly(tuple(b))
-    assert (pa * pb).coeffs == IntPoly(tuple(naive_mul(pa.coeffs, pb.coeffs))).coeffs
+    total, difference, negated, product = (
+        parse_poly(text) for text in (f"({pa})+({pb})", f"({pa})-({pb})", f"-({pa})", f"({pa})*({pb})")
+    )
+    assert product.coeffs == IntPoly(tuple(naive_mul(pa.coeffs, pb.coeffs))).coeffs
     for n in (-3, 0, 2, 11):
-        assert (pa + pb).evaluate(n) == pa.evaluate(n) + pb.evaluate(n)
-        assert (pa - pb).evaluate(n) == pa.evaluate(n) - pb.evaluate(n)
-        assert (pa * pb).evaluate(n) == pa.evaluate(n) * pb.evaluate(n)
+        assert total.evaluate(n) == pa.evaluate(n) + pb.evaluate(n)
+        assert difference.evaluate(n) == pa.evaluate(n) - pb.evaluate(n)
+        assert negated.evaluate(n) == -pa.evaluate(n)
+        assert product.evaluate(n) == pa.evaluate(n) * pb.evaluate(n)
+    acc = [1]
+    for k in range(4):
+        assert parse_poly(f"({pa})^{k}") == IntPoly(tuple(acc))
+        acc = naive_mul(acc, pa.coeffs)
 
 
 def test_power_matches_repeated_multiplication():
-    base = IntPoly((1, 1))
-    acc = IntPoly((1,))
+    acc = [1]
     for e in range(8):
-        assert base**e == acc
-        acc = acc * base
+        assert parse_poly(f"(x + 1)^{e}") == IntPoly(tuple(acc))
+        acc = naive_mul(acc, [1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +266,8 @@ def test_gcd_with_zero_and_sign_normalization():
 @example([1, 0], [1, 0, 0], [1, 1])
 def test_gcd_divides_both_inputs_and_detects_common_factors(a, b, c):
     common = IntPoly(tuple(c))
-    pa = IntPoly(tuple(a)) * common
-    pb = IntPoly(tuple(b)) * common
+    pa = IntPoly(tuple(naive_mul(a, c)))
+    pb = IntPoly(tuple(naive_mul(b, c)))
     if pa.is_zero() and pb.is_zero():
         return
     d = gcd_over_Z(pa, pb)

@@ -18,6 +18,7 @@ from polygcd.errors import InvariantBreach
 from support import (
     fraction_det,
     invariant_factors,
+    mat_mul,
     minor_gcd_products,
     random_matrix,
     rank_mod_p,
@@ -26,7 +27,7 @@ from support import (
 
 def assert_snf_contract(matrix, result):
     # reconstruction
-    product = result.U @ matrix @ result.V
+    product = mat_mul(mat_mul(result.U, matrix), result.V)
     size = min(matrix.rows, matrix.cols)
     for i in range(product.rows):
         for j in range(product.cols):
@@ -144,13 +145,22 @@ NOT_UNIMODULAR = {
 @pytest.mark.parametrize("case", NOT_UNIMODULAR)
 def test_verify_rejects_a_transform_of_determinant_2(case):
     matrix, result = NOT_UNIMODULAR[case]
-    product = result.U @ matrix @ result.V
+    product = mat_mul(mat_mul(result.U, matrix), result.V)
     assert product.to_rows() == [
         [result.d[i] if i == j else 0 for j in range(product.cols)]
         for i in range(product.rows)
     ]
     with pytest.raises(InvariantBreach, match="transform determinant is not"):
         polygcd.snf._verify(matrix, result)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3, 4]], [[2, 4, 6], [1, 0, 3]], [[1], [2], [3]]])
+def test_verify_rejects_a_result_that_does_not_reconstruct_diag_d(rows):
+    matrix = IntMatrix.from_rows(rows)
+    result = smith_normal_form(matrix)
+    wrong = result._replace(d=(result.d[0] + 1,) + result.d[1:])
+    with pytest.raises(InvariantBreach, match="does not reconstruct"):
+        polygcd.snf._verify(matrix, wrong)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
-"""What every value type of the package promises: immutable fields, built by
-position or keyword, equal and hashed by value, a ``Name(field=value)``
-repr, and input validation that raises InputError."""
+"""What every value type of the package promises: a tuple of its fields,
+immutable, built by position or keyword, equal and hashed by value, a
+``Name(field=value)`` repr, and input validation that raises InputError, also
+through ``_replace`` and ``_make``."""
 import copy
 import json
 import os
@@ -99,6 +100,19 @@ def test_equality_and_hash_by_value(cls, names, values, other):
 
 
 @pytest.mark.parametrize("cls, names, values, other", VALUES, ids=IDS)
+def test_values_are_tuples_of_their_fields(cls, names, values, other):
+    value = cls(*values)
+    first, *rest = value
+    assert isinstance(value, tuple) and value == values and (first, *rest) == values
+    assert value[0] is getattr(value, names[0])
+
+
+def test_values_order_like_tuples():
+    assert sorted([IntPoly((1, 1)), IntPoly((1, 0)), IntPoly((-1,))]) == [((-1,),), ((1, 0),), ((1, 1),)]
+    assert IntMatrix(1, 2, (3, 4)) < IntMatrix(2, 1, (0, 0)) and FACT < Factorization(12, ((2, 2), (3, 1)))
+
+
+@pytest.mark.parametrize("cls, names, values, other", VALUES, ids=IDS)
 def test_repr_names_every_field(cls, names, values, other):
     body = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
     assert repr(cls(*values)) == f"{cls.__name__}({body})"
@@ -128,11 +142,25 @@ def test_copy_and_pickle_round_trip(cls, names, values, other):
         lambda: Factorization(12, ((2, 2), (3, 0), (3, 1))),
         lambda: Factorization(12, ((2, 1), (3, 1))),
         lambda: Factorization(n=-5, factors=()),
+        # _replace and _make build through the same checks
+        lambda: MonicIntPoly((1, 3))._replace(coeffs=(2, 3)),
+        lambda: IntMatrix._make((2, 2, (1, 2, 3))),
+        lambda: Factorization._make((12, ((2, 1), (3, 1)))),
+        lambda: I2._replace(entries=(1, 0, 0)),
+        lambda: FACT._replace(n=24),
     ],
 )
 def test_every_validation_raises_input_error(build):
     with pytest.raises(InputError):
         build()
+
+
+@pytest.mark.parametrize("cls, names, values, other", VALUES, ids=IDS)
+def test_replace_and_make_return_the_same_type(cls, names, values, other):
+    value = cls(*values)
+    changed = value._replace(**{name: new for name, old, new in zip(names, values, other) if old != new})
+    assert type(changed) is cls and changed == cls(*other)
+    assert type(cls._make(values)) is cls and cls._make(values) == value
 
 
 def test_monic_names_a_leading_coefficient_too_long_to_print_by_its_digits():
