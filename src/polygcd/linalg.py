@@ -7,6 +7,8 @@ row.  ``resultant`` computes it with the subresultant polynomial remainder
 sequence (``resultant_prs``), which needs no matrix; under ``verify`` it
 also evaluates the determinant with fraction-free Bareiss elimination
 (``det_bareiss``), a structurally independent value to cross-check against.
+Past the monic f block, Bareiss takes the columns in pairs, so each entry
+costs one exact division per two columns instead of two.
 The same walk of the sequence yields the first subresultant S_1, from which
 the atlas reads its generator.
 """
@@ -94,14 +96,17 @@ def sylvester_matrix(f: IntPoly, g: IntPoly) -> IntMatrix:
 def det_bareiss(matrix: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
-    Pivots are the first nonzero entry down the current column; when there
-    is none, that column lies in the span of the earlier ones and the
-    determinant is 0.  A step with pivot pk only scales a row whose
-    pivot-column entry is 0, by pk/prev: such a row keeps the pivot it was
-    last brought up to date at (its base) and is rescaled by prev/base when
-    it next becomes the pivot row or is eliminated.  When pk == prev a step
-    changes a row only where the pivot row is nonzero, as in the monic f
-    block of a Sylvester matrix.  Every division checks its remainder.
+    Column k's pivot pk is its first nonzero entry on or below row k.  When
+    pk equals the previous pivot prev, a one-column step changes a row only
+    where the pivot row is nonzero (the monic f block of a Sylvester
+    matrix).  Otherwise a pass takes columns k and k+1 (Bareiss's two-step
+    form): row k+1 becomes the first lower row whose 2x2 minor with row k
+    is nonzero, and each row below becomes (c0*x + c1*y + c2*z) / prev, one
+    division per entry for both columns.  A column with no pivot, or no
+    such row, makes the determinant 0.  A row whose pivot-column entries
+    are all 0 is not touched: it keeps the pivot it was last brought up to
+    date at (its base) and is rescaled by prev/base when it is next used.
+    Every division checks its remainder.
     """
     if matrix.rows != matrix.cols:
         raise InputError("determinant needs a square matrix")
@@ -110,33 +115,59 @@ def det_bareiss(matrix: IntMatrix) -> int:
     base = [1] * n
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    k = 0
+    while k < n - 1:
         pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
         if pivot_row is None:
             return 0
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            base[k], base[pivot_row] = base[pivot_row], base[k]
-            sign = -sign
+        sign *= _swap(a, base, k, pivot_row)
         row_k = _rescale(a, base, k, k, prev)
-        pk = row_k[k]
-        nonzero = [j for j in range(k + 1, n) if row_k[j]]
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            row_i = _rescale(a, base, i, k, prev)
-            aik = row_i[k]
-            if pk == prev:
+        pk, pk1 = row_k[k], row_k[k + 1]
+        if pk == prev:
+            nonzero = [j for j in range(k + 1, n) if row_k[j]]
+            for i in range(k + 1, n):
+                if a[i][k] == 0:
+                    continue
+                row_i = _rescale(a, base, i, k, prev)
+                aik = row_i[k]
                 for j in nonzero:
                     row_i[j] = _exact_div(row_i[j] * pk - aik * row_k[j], prev)
-            else:
-                row_i[k + 1 :] = _exact_quotients(
-                    (x * pk - aik * y for x, y in zip(row_i[k + 1 :], row_k[k + 1 :])), prev
-                )
-            row_i[k] = 0
-            base[i] = pk
-        prev = pk
+                row_i[k] = 0
+            k += 1
+            continue
+        # A row's scale by prev/base cannot make its minor with row k zero.
+        pair_row = next((i for i in range(k + 1, n) if pk * a[i][k + 1] != pk1 * a[i][k]), None)
+        if pair_row is None:
+            return 0
+        sign *= _swap(a, base, k + 1, pair_row)
+        row_1 = _rescale(a, base, k + 1, k, prev)
+        q0, q1 = row_1[k], row_1[k + 1]
+        c0 = _exact_div(pk * q1 - pk1 * q0, prev)
+        for i in range(k + 2, n):
+            if a[i][k] == 0 and a[i][k + 1] == 0:
+                continue
+            row_i = _rescale(a, base, i, k, prev)
+            x0, x1 = row_i[k], row_i[k + 1]
+            c1 = _exact_div(pk1 * x0 - pk * x1, prev)
+            c2 = _exact_div(q0 * x1 - q1 * x0, prev)
+            tail = zip(row_i[k + 2 :], row_1[k + 2 :], row_k[k + 2 :])
+            row_i[k + 2 :] = _exact_quotients((c0 * x + c1 * y + c2 * z for x, y, z in tail), prev)
+            row_i[k] = row_i[k + 1] = 0
+            base[i] = c0
+        prev = c0
+        k += 2
+    if k == n:  # the last pass took the last two columns: c0 is the determinant
+        return sign * prev
     return sign * _rescale(a, base, n - 1, n - 1, prev)[n - 1]
+
+
+def _swap(a: list[list[int]], base: list[int], i: int, j: int) -> int:
+    # Exchange rows i and j with their bases; returns the sign this gives det.
+    if i == j:
+        return 1
+    a[i], a[j] = a[j], a[i]
+    base[i], base[j] = base[j], base[i]
+    return -1
 
 
 def _rescale(a: list[list[int]], base: list[int], i: int, k: int, prev: int) -> list[int]:

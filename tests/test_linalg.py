@@ -188,6 +188,22 @@ def test_det_matches_fraction_elimination_on_sparse_matrices(rows):
     assert det_bareiss(IntMatrix.from_rows(rows)) == fraction_det(rows)
 
 
+# Dense, so that pivots change and columns go in pairs: odd n ends on a
+# lone last column, even n on a last pair.
+@settings(max_examples=150)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-99, 99), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_det_matches_fraction_elimination_on_dense_matrices(rows):
+    assert det_bareiss(IntMatrix.from_rows(rows)) == fraction_det(rows)
+
+
 def _banded(rng, n):
     width = rng.randint(0, 3)
     return [
@@ -249,9 +265,35 @@ def _singular(rng, n):
     return rows
 
 
+def _zero_pivot_pair(rng, n):
+    # Unit pivots in the first m columns leave the rows below untouched.
+    # Then a_mm != 1 = prev, but row m+1, or every row below m, is a
+    # multiple of row m over columns m and m+1, so the 2x2 minor is 0 and
+    # the pair search must swap a lower row up or return 0.
+    m = rng.randrange(n - 1)
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[: min(i, m)] = [0] * min(i, m)
+        if i < m:
+            row[i] = 1
+    rows[m][m] = rng.choice([-3, 2, 5])
+    for row in rows[m + 1 : n if rng.random() < 0.5 else m + 2]:
+        t = rng.choice([0, 1, -2, 3])
+        row[m : m + 2] = [t * x for x in rows[m][m : m + 2]]
+    return rows
+
+
 @pytest.mark.parametrize(
     "build",
-    [_banded, _sylvester_like, _unit_chain, _zero_leading_columns, _row_swaps, _singular],
+    [
+        _banded,
+        _sylvester_like,
+        _unit_chain,
+        _zero_leading_columns,
+        _row_swaps,
+        _singular,
+        _zero_pivot_pair,
+    ],
 )
 def test_det_matches_fraction_elimination_on_structured_matrices(build):
     rng = random.Random(build.__name__)
@@ -270,6 +312,25 @@ def test_det_of_the_stress_family_sylvester_matrix_is_the_prs_resultant(k, a):
     f = MonicIntPoly.parse(f"x^{k}+{a}")
     g = MonicIntPoly.parse(f"(x+1)^{k}+{a}")
     assert det_bareiss(sylvester_matrix(f, g)) == resultant_prs(f, g) != 0
+
+
+def test_det_divides_once_per_entry_for_each_pair_of_columns(monkeypatch):
+    # Strictly diagonally dominant, so every leading minor is nonzero and no
+    # row is swapped.  One column per step divides each lower row once per
+    # column, 11 + 10 + ... + 1 = 66 batches; pairs of columns, 10 + 8 + ...
+    # + 2 = 30.
+    rng = random.Random(12)
+    rows = [[200 if i == j else rng.randint(-9, 9) for j in range(12)] for i in range(12)]
+    batches = []
+    quotients = polygcd.linalg._exact_quotients
+    monkeypatch.setattr(
+        polygcd.linalg,
+        "_exact_quotients",
+        lambda numerators, denominator: batches.append(denominator)
+        or quotients(numerators, denominator),
+    )
+    assert det_bareiss(IntMatrix.from_rows(rows)) == fraction_det(rows)
+    assert len(batches) <= 66 // 2
 
 
 # ---------------------------------------------------------------------------
