@@ -31,7 +31,7 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import CapExceeded, CriterionInapplicable, InputError, InvariantBreach
-from .linalg import _subresultant_resultant, det_bareiss, resultant, sylvester_matrix
+from .linalg import _check_bareiss, _subresultant_resultant, resultant
 from .modp import _common_roots_mod_p, common_root_mod_p
 from .ntheory import DIVISOR_CAP, Factorization, divisors, factor, is_squarefree, crt
 from .ntheory import _TRIAL_DIVISION_BOUND, _trial_divide
@@ -77,8 +77,6 @@ class GcdAtlas(NamedTuple):
 
     squarefree = True
 
-    f: MonicIntPoly
-    g: MonicIntPoly
     factorization: Factorization
     roots: dict[int, int]
     entries: tuple[AtlasEntry, ...]
@@ -96,24 +94,6 @@ class GcdAtlas(NamedTuple):
     def multiplicity_histogram(self) -> dict[int, int]:
         return {e.divisor: e.multiplicity for e in self.entries}
 
-    def to_json_dict(self) -> dict:
-        return {
-            "f": str(self.f),
-            "g": str(self.g),
-            "resultant": str(self.resultant),
-            "squarefree": self.squarefree,
-            "roots": {str(p): str(c) for p, c in self.roots.items()},
-            "entries": [
-                {
-                    "divisor": str(e.divisor),
-                    "multiplicity": str(e.multiplicity),
-                    "residues": [str(n) for n in e.residues],
-                    "residues_truncated": e.truncated,
-                }
-                for e in self.entries
-            ],
-        }
-
 
 class ZeroResultant(NamedTuple):
     """r = 0: f and g share a non-constant factor; the gcd range is infinite."""
@@ -123,14 +103,13 @@ class ZeroResultant(NamedTuple):
 
 
 class GcdProfile(NamedTuple):
-    """The gcd values over one period [0, modulus), without the values.
+    """The gcd values over one period [0, |r|), without the values.
 
     ``histogram`` maps each value gcd(f(n), g(n)) to the number of n in the
     period realizing it, in ascending order of value; ``gcd_range`` is its
     keys and ``period`` the smallest positive period of the values.
     """
 
-    modulus: int
     histogram: dict[int, int]
     period: int
 
@@ -188,7 +167,7 @@ def analyze(
         fact = factor(r)
         if is_squarefree(fact):
             outcome = build_atlas(
-                f, g, fact, s1, s0, residue_cap=residue_cap, divisor_cap=divisor_cap
+                fact, s1, s0, residue_cap=residue_cap, divisor_cap=divisor_cap
             )
         else:
             # What trial division would leave to place: each prime below
@@ -208,11 +187,6 @@ def _verify(f: MonicIntPoly, g: MonicIntPoly, r: int, outcome: AnalysisOutcome, 
     # Every check of analyze(verify=True), each made once; the first disagreement
     # raises.  The oracle's modulus comes from resultant(verify=True), which
     # checks the PRS against Bareiss, so only without the oracle is it done here.
-    oracle_runs = 0 < abs(r) <= brute_cap
-    if not oracle_runs:
-        det = det_bareiss(sylvester_matrix(f, g))
-        if det != r:
-            raise InvariantBreach(f"resultant mismatch: bareiss gives {det}, prs gives {r}")
     if isinstance(outcome, GcdAtlas):
         # A gcd in F_p[x] finds each root apart from the chain, at any size of p.
         for p, c in outcome.roots.items():
@@ -222,7 +196,8 @@ def _verify(f: MonicIntPoly, g: MonicIntPoly, r: int, outcome: AnalysisOutcome, 
                     f"common root mod {p}: the subresultant gives {c},"
                     f" the gcd mod {p} gives {c_p}"
                 )
-    if not oracle_runs:
+    if not 0 < abs(r) <= brute_cap:
+        _check_bareiss(f, g, r)
         return
     oracle = brute_force_profile(f, g, cap=brute_cap)
     if oracle.modulus != abs(r):
@@ -230,17 +205,12 @@ def _verify(f: MonicIntPoly, g: MonicIntPoly, r: int, outcome: AnalysisOutcome, 
     if isinstance(outcome, GcdAtlas):
         if outcome.multiplicity_histogram() != oracle.histogram:
             raise InvariantBreach("atlas multiplicities disagree with the brute-force oracle")
+        # The counts agree, so a full listing must equal the oracle's, a truncated one its prefix.
         by_value = oracle.residues_by_value()
         for entry in outcome.entries:
-            expected = by_value.get(entry.divisor, ())
-            if entry.truncated:
-                if entry.residues != expected[: len(entry.residues)]:
-                    raise InvariantBreach(
-                        f"listed residues for divisor {entry.divisor} disagree with the oracle"
-                    )
-            elif entry.residues != expected:
+            if entry.residues != by_value[entry.divisor][: len(entry.residues)]:
                 raise InvariantBreach(
-                    f"residues for divisor {entry.divisor} disagree with the oracle"
+                    f"listed residues for divisor {entry.divisor} disagree with the oracle"
                 )
         return
     profile = outcome.profile
@@ -260,8 +230,6 @@ def _verify(f: MonicIntPoly, g: MonicIntPoly, r: int, outcome: AnalysisOutcome, 
 
 
 def build_atlas(
-    f: MonicIntPoly,
-    g: MonicIntPoly,
     fact: Factorization,
     s1: int,
     s0: int,
@@ -294,8 +262,6 @@ def build_atlas(
     if entries[-1].multiplicity != 1:
         raise InvariantBreach("the divisor |r| must be realized exactly once")
     return GcdAtlas(
-        f=f,
-        g=g,
         factorization=fact,
         roots=roots,
         entries=tuple(entries),
@@ -335,7 +301,7 @@ def _gcd_profile(
         histogram = {
             a * b: ca * cb for a, ca in histogram.items() for b, cb in local.items()
         }
-    return GcdProfile(abs(fact.n), dict(sorted(histogram.items())), math.prod(periods))
+    return GcdProfile(dict(sorted(histogram.items())), math.prod(periods))
 
 
 def _local_table(

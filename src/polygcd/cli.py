@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands: analyze, resultant, snf, brute-force, witness, period.
-Each call builds the whole parser tree, but only the subcommand that argv
-selects gets its arguments; argparse adds them when it dispatches to that
-subparser, so help, usage and error text are argparse's own.
+Each call builds the parser tree with arguments for only the subcommand
+that argv names, so help, usage and error text are argparse's own.
 Human-readable tables go to stdout by default; ``--json`` switches to a
 canonical JSON document (sorted keys, all integers as decimal strings, so
 arbitrary precision survives).  Errors go to stderr.
@@ -55,22 +54,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class _Subcommand(_ArgumentParser):
-    # argparse reaches a subparser's help, usage and errors only through its
-    # own parse_known_args, so the arguments are added there: the one
-    # subcommand argv selects gets them, the others keep only their -h.
-    def __init__(self, *, add_arguments, **kwargs):
-        super().__init__(**kwargs)
-        self._add_arguments = add_arguments
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._add_arguments is not None:
-            self._add_arguments(self)
-            self._add_arguments = None
-        return super().parse_known_args(args, namespace)
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="polygcd",
         description=(
@@ -79,9 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
             " realizing each divisor as gcd(f(n), g(n))."
         ),
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_ArgumentParser)
+    # argparse dispatches to the first argument without a leading "-"; only it gets arguments.
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
     for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
+        subparser = sub.add_parser(name, help=help_text)
+        if name == chosen:
+            add_arguments(subparser)
     return parser
 
 
@@ -185,11 +173,27 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _report_atlas(atlas: GcdAtlas, args: argparse.Namespace) -> None:
     if args.json:
-        print(_dump_json(atlas.to_json_dict()))
+        doc = {
+            "f": str(args.f),
+            "g": str(args.g),
+            "resultant": str(atlas.resultant),
+            "squarefree": True,
+            "roots": {str(p): str(c) for p, c in atlas.roots.items()},
+            "entries": [
+                {
+                    "divisor": str(e.divisor),
+                    "multiplicity": str(e.multiplicity),
+                    "residues": [str(n) for n in e.residues],
+                    "residues_truncated": e.truncated,
+                }
+                for e in atlas.entries
+            ],
+        }
+        print(_dump_json(doc))
         return
     modulus = abs(atlas.resultant)
-    print(f"f = {atlas.f}")
-    print(f"g = {atlas.g}")
+    print(f"f = {args.f}")
+    print(f"g = {args.g}")
     print(f"resultant = {atlas.resultant} = {_format_factorization(atlas.factorization)}")
     print("square-free: yes")
     for p, c in atlas.roots.items():
@@ -259,7 +263,7 @@ def _report_not_squarefree(outcome: NotSquarefree, args: argparse.Namespace) -> 
     print(f"resultant = {outcome.resultant} = {_format_factorization(outcome.factorization)}")
     print("square-free: no (the complete divisor map is only available for square-free resultants)")
     values = ", ".join(str(v) for v in outcome.profile.gcd_range)
-    print(f"empirical gcd range over one period of {outcome.profile.modulus}: {{{values}}}")
+    print(f"empirical gcd range over one period of {abs(outcome.resultant)}: {{{values}}}")
     histogram = ", ".join(f"{v}: {c}" for v, c in outcome.profile.histogram.items())
     print(f"gcd value counts: {histogram}")
     print(f"minimal period: {outcome.profile.period}")
@@ -317,7 +321,12 @@ def _cmd_snf(args: argparse.Namespace) -> int:
 def _cmd_brute_force(args: argparse.Namespace) -> int:
     profile = brute_force_profile(args.f, args.g, cap=args.cap_brute)
     if args.json:
-        print(_dump_json(profile.to_json_dict()))
+        doc = {
+            "modulus": str(profile.modulus),
+            "histogram": {str(v): str(c) for v, c in profile.histogram.items()},
+            "range": [str(v) for v in profile.gcd_range],
+        }
+        print(_dump_json(doc))
         return 0
     print(f"modulus = {profile.modulus}")
     print("range =", ", ".join(str(v) for v in profile.gcd_range))
@@ -363,7 +372,7 @@ def main(argv=None) -> int:
     for i in reversed(range(1, len(argv))):
         if argv[i - 1] in ("--f", "--g") and re.match(r"-[0-9x(]", argv[i]):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         # resultant, snf, witness and period take no caps; brute-force takes
         # only --cap-brute.

@@ -187,12 +187,15 @@ def resultant(f: IntPoly, g: IntPoly, *, verify: bool = False) -> int:
     """
     value = resultant_prs(f, g)
     if verify:
-        other = det_bareiss(sylvester_matrix(f, g))
-        if other != value:
-            raise InvariantBreach(
-                f"resultant mismatch: bareiss gives {other}, prs gives {value}"
-            )
+        _check_bareiss(f, g, value)
     return value
+
+
+def _check_bareiss(f: IntPoly, g: IntPoly, value: int) -> None:
+    # The one comparison of the PRS resultant ``value`` with the Bareiss determinant.
+    det = det_bareiss(sylvester_matrix(f, g))
+    if det != value:
+        raise InvariantBreach(f"resultant mismatch: bareiss gives {det}, prs gives {value}")
 
 
 def resultant_prs(f: IntPoly, g: IntPoly) -> int:

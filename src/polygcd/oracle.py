@@ -51,13 +51,6 @@ class BruteForceProfile(NamedTuple):
             if m % t == 0 and all(values[n] == values[(n + t) % m] for n in range(m))
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "modulus": str(self.modulus),
-            "histogram": {str(v): str(c) for v, c in self.histogram.items()},
-            "range": [str(v) for v in self.gcd_range],
-        }
-
 
 def brute_force_profile(
     f: MonicIntPoly, g: MonicIntPoly, *, cap: int = BRUTE_FORCE_CAP

@@ -107,22 +107,6 @@ def test_analyze_profile_does_not_read_the_brute_force_cap():
     assert outcome.profile.histogram == {1: 2, 2: 2}
 
 
-def test_analyze_atlas_json_schema():
-    atlas = analyze(mp("x^2+3"), mp("(x+1)^2+3"))
-    doc = atlas.to_json_dict()
-    assert doc["f"] == "x^2 + 3"
-    assert doc["g"] == "x^2 + 2*x + 4"
-    assert doc["resultant"] == "13"
-    assert doc["squarefree"] is True
-    assert doc["roots"] == {"13": "6"}
-    assert doc["entries"][1] == {
-        "divisor": "13",
-        "multiplicity": "1",
-        "residues": ["6"],
-        "residues_truncated": False,
-    }
-
-
 # ---------------------------------------------------------------------------
 # atlas specifics
 # ---------------------------------------------------------------------------
@@ -206,6 +190,25 @@ def test_atlas_truncation_lists_smallest_residues_first():
     full = analyze(f, g).entry_for(1)
     assert not full.truncated
     assert full.residues[:5] == entry.residues
+
+
+@pytest.mark.parametrize("residue_cap, truncated", [(12, False), (3, True)])
+def test_verify_catches_one_wrong_listed_residue(monkeypatch, residue_cap, truncated):
+    # r = 13: the divisor 1 takes every residue but 6.  Replacing the last one
+    # listed by 6 keeps every multiplicity, so only the residue check sees it.
+    build = polygcd.analysis.build_atlas
+
+    def corrupted(*args, **kwargs):
+        atlas = build(*args, **kwargs)
+        ones, *rest = atlas.entries
+        wrong = ones._replace(residues=(*ones.residues[:-1], 6))
+        return atlas._replace(entries=(wrong, *rest))
+
+    f, g = mp("x^2+3"), mp("(x+1)^2+3")
+    monkeypatch.setattr(polygcd.analysis, "build_atlas", corrupted)
+    assert analyze(f, g, residue_cap=residue_cap).entry_for(1).truncated == truncated
+    with pytest.raises(InvariantBreach, match="listed residues for divisor 1 disagree"):
+        analyze(f, g, residue_cap=residue_cap, verify=True)
 
 
 def _multi_prime_pool_pairs():
@@ -330,7 +333,7 @@ def test_minimal_period_divides_r_and_is_a_true_period():
 
 def assert_profile_matches_brute_force(f, g, profile):
     oracle = brute_force_profile(f, g)
-    assert profile.modulus == oracle.modulus
+    assert sum(profile.histogram.values()) == oracle.modulus
     assert profile.histogram == oracle.histogram
     assert profile.gcd_range == oracle.gcd_range
     assert profile.period == minimal_period(f, g) == oracle.minimal_period()
@@ -481,8 +484,7 @@ def test_verify_reports_a_bareiss_mismatch_inside_and_outside_the_cap(
     monkeypatch, f_text, g_text, r
 ):
     det = polygcd.linalg.det_bareiss
-    for module in (polygcd.analysis, polygcd.linalg):
-        monkeypatch.setattr(module, "det_bareiss", lambda m: det(m) + 1)
+    monkeypatch.setattr(polygcd.linalg, "det_bareiss", lambda m: det(m) + 1)
     analyze(mp(f_text), mp(g_text))
     message = f"resultant mismatch: bareiss gives {r + 1}, prs gives {r}"
     with pytest.raises(InvariantBreach, match=message):

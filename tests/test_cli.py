@@ -44,9 +44,17 @@ def test_analyze_json_atlas(capsys):
     )
     assert status == 0 and err == ""
     doc = json.loads(out)
+    assert doc["f"] == "x^2 + 3"
+    assert doc["g"] == "x^2 + 2*x + 4"
     assert doc["resultant"] == "13"
     assert doc["squarefree"] is True
     assert doc["roots"] == {"13": "6"}
+    assert doc["entries"][1] == {
+        "divisor": "13",
+        "multiplicity": "1",
+        "residues": ["6"],
+        "residues_truncated": False,
+    }
     by_divisor = {e["divisor"]: e for e in doc["entries"]}
     assert by_divisor["13"]["residues"] == ["6"]
     assert by_divisor["13"]["multiplicity"] == "1"
@@ -927,8 +935,9 @@ def test_cli_surface_is_pinned(capsys, monkeypatch, argv, status, out, err):
 
 
 def test_only_the_dispatched_subcommand_gets_its_arguments():
-    parser = polygcd.cli._build_parser()
-    parser.parse_args(["witness", "--f", "x", "--g", "x+1"])
+    argv = ["witness", "--f", "x", "--g", "x+1"]
+    parser = polygcd.cli._build_parser(argv)
+    parser.parse_args(argv)
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == SUBCOMMANDS
     options = {
@@ -939,6 +948,15 @@ def test_only_the_dispatched_subcommand_gets_its_arguments():
         **{name: [["-h", "--help"]] for name in SUBCOMMANDS},
         "witness": [["-h", "--help"], ["--f"], ["--g"]],
     }
+
+
+def test_an_unknown_option_before_the_subcommand_is_the_only_one_reported(capsys):
+    # argparse dispatches to the first argument without a leading "-", here
+    # witness, which parses its own options; only --foo is left over.
+    with pytest.raises(SystemExit) as exc:
+        main(["--foo", "witness", "--f", "x", "--g", "x+1"])
+    assert exc.value.code == 1
+    assert capsys.readouterr() == ("", TOP_USAGE + "polygcd: error: unrecognized arguments: --foo\n")
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,12 @@ VALUES = [
     (AtlasEntry, ("divisor", "multiplicity", "residues"), (13, 1, (5,)), (13, 1, (6,))),
     (
         GcdAtlas,
-        ("f", "g", "factorization", "roots", "entries"),
-        (F, G, Factorization(13, ((13, 1),)), {13: 5}, (AtlasEntry(13, 1, (5,)),)),
-        (F, G, Factorization(13, ((13, 1),)), {13: 6}, (AtlasEntry(13, 1, (5,)),)),
+        ("factorization", "roots", "entries"),
+        (Factorization(13, ((13, 1),)), {13: 5}, (AtlasEntry(13, 1, (5,)),)),
+        (Factorization(13, ((13, 1),)), {13: 6}, (AtlasEntry(13, 1, (5,)),)),
     ),
     (ZeroResultant, ("common_factor", "sample_values"), (F, (3, 4)), (G, (3, 4))),
-    (GcdProfile, ("modulus", "histogram", "period"), (12, {1: 8, 3: 4}, 6), (12, {1: 8, 3: 4}, 12)),
+    (GcdProfile, ("histogram", "period"), ({1: 8, 3: 4}, 6), ({1: 8, 3: 4}, 12)),
     (
         NotSquarefree,
         ("factorization", "profile", "witness", "common_prime"),
