@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -105,6 +106,29 @@ def test_analyze_profile_does_not_read_the_brute_force_cap():
     assert isinstance(outcome, NotSquarefree)
     assert outcome.profile == analyze(f, g).profile
     assert outcome.profile.histogram == {1: 2, 2: 2}
+
+
+def test_analyze_atlas_json_schema(capsys):
+    # analyze --json writes the atlas that analyze() returns, every integer
+    # as a decimal string.
+    f, g = mp("x^2+3"), mp("(x+1)^2+3")
+    atlas = analyze(f, g)
+    assert polygcd.cli.main(["analyze", "--f", str(f), "--g", str(g), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["f"] == "x^2 + 3"
+    assert doc["g"] == "x^2 + 2*x + 4"
+    assert doc["resultant"] == "13"
+    assert doc["squarefree"] is True
+    assert doc["roots"] == {"13": "6"}
+    assert doc["entries"][1] == {
+        "divisor": "13",
+        "multiplicity": "1",
+        "residues": ["6"],
+        "residues_truncated": False,
+    }
+    assert doc["resultant"] == str(atlas.resultant)
+    assert doc["roots"] == {str(p): str(c) for p, c in atlas.roots.items()}
+    assert [e["divisor"] for e in doc["entries"]] == [str(e.divisor) for e in atlas.entries]
 
 
 # ---------------------------------------------------------------------------

@@ -44,17 +44,9 @@ def test_analyze_json_atlas(capsys):
     )
     assert status == 0 and err == ""
     doc = json.loads(out)
-    assert doc["f"] == "x^2 + 3"
-    assert doc["g"] == "x^2 + 2*x + 4"
     assert doc["resultant"] == "13"
     assert doc["squarefree"] is True
     assert doc["roots"] == {"13": "6"}
-    assert doc["entries"][1] == {
-        "divisor": "13",
-        "multiplicity": "1",
-        "residues": ["6"],
-        "residues_truncated": False,
-    }
     by_divisor = {e["divisor"]: e for e in doc["entries"]}
     assert by_divisor["13"]["residues"] == ["6"]
     assert by_divisor["13"]["multiplicity"] == "1"

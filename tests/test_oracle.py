@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from polygcd import (
     brute_force_profile,
     resultant,
 )
+import polygcd.cli
 import polygcd.linalg
 from polygcd.errors import InputError, InvariantBreach
 
@@ -90,6 +92,24 @@ def test_profile_counts_sum_to_modulus_and_values_divide_r():
         assert sum(profile.histogram.values()) == profile.modulus == abs(r)
         assert all(r % v == 0 for v in profile.gcd_range)
         assert profile.residues_by_value().keys() == profile.histogram.keys()
+
+
+def test_profile_json_shape(capsys):
+    # brute-force --json writes the profile, every integer as a decimal string.
+    f, g = mp("x^2-1"), mp("x^2+1")
+    profile = brute_force_profile(f, g)
+    assert polygcd.cli.main(["brute-force", "--f", str(f), "--g", str(g), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {
+        "modulus": "4",
+        "histogram": {"1": "2", "2": "2"},
+        "range": ["1", "2"],
+    }
+    assert doc == {
+        "modulus": str(profile.modulus),
+        "histogram": {str(v): str(c) for v, c in profile.histogram.items()},
+        "range": [str(v) for v in profile.gcd_range],
+    }
 
 
 # ---------------------------------------------------------------------------
