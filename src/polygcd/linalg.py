@@ -7,8 +7,9 @@ row.  ``resultant`` computes it with the subresultant polynomial remainder
 sequence (``resultant_prs``), which needs no matrix; under ``verify`` it
 also evaluates the determinant with fraction-free Bareiss elimination
 (``det_bareiss``), a structurally independent value to cross-check against.
-Past the monic f block, Bareiss takes the columns in pairs, so each entry
-costs one exact division per two columns instead of two.
+Past the monic f block, Bareiss takes four columns per pass while six or
+more remain, so each entry costs one exact division per four columns; where
+the 4x4 pivot block is singular, and for the last columns, it takes pairs.
 The same walk of the sequence yields the first subresultant S_1, from which
 the atlas reads its generator.
 """
@@ -99,14 +100,20 @@ def det_bareiss(matrix: IntMatrix) -> int:
     Column k's pivot pk is its first nonzero entry on or below row k.  When
     pk equals the previous pivot prev, a one-column step changes a row only
     where the pivot row is nonzero (the monic f block of a Sylvester
-    matrix).  Otherwise a pass takes columns k and k+1 (Bareiss's two-step
-    form): row k+1 becomes the first lower row whose 2x2 minor with row k
-    is nonzero, and each row below becomes (c0*x + c1*y + c2*z) / prev, one
-    division per entry for both columns.  A column with no pivot, or no
-    such row, makes the determinant 0.  A row whose pivot-column entries
-    are all 0 is not touched: it keeps the pivot it was last brought up to
-    date at (its base) and is rescaled by prev/base when it is next used.
-    Every division checks its remainder.
+    matrix).  Otherwise, while six or more columns remain, a pass takes
+    columns k..k+3 (Bareiss's multistep form) with rows k..k+3 as the pivot
+    block: the new pivot is c0 = det(block) / prev^3, and each row below,
+    with x its four block entries, becomes (c0*a - sum(u_t*p_t)) / prev
+    over its tail, where p_t is pivot row k+t and u_t = x . cof_t / prev
+    for the block's row-t cofactors cof_t over prev^2: 5 products and one
+    division per entry for all four columns.  When that block is singular,
+    or fewer than six columns remain, a pass takes columns k and k+1 (the
+    two-step form): row k+1 becomes the first lower row whose 2x2 minor
+    with row k is nonzero, and each row below becomes (c0*x + c1*y + c2*z)
+    / prev.  A column with no pivot, or no such row, makes the determinant
+    0.  A row whose pivot-column entries are all 0 is not touched: it keeps
+    the pivot it was last brought up to date at (its base) and is rescaled
+    by prev/base when it is next used.  Every division checks its remainder.
     """
     if matrix.rows != matrix.cols:
         raise InputError("determinant needs a square matrix")
@@ -135,6 +142,12 @@ def det_bareiss(matrix: IntMatrix) -> int:
                 row_i[k] = 0
             k += 1
             continue
+        if n - k >= 6:
+            c0 = _four_columns(a, base, k, prev)
+            if c0:
+                prev = c0
+                k += 4
+                continue
         # A row's scale by prev/base cannot make its minor with row k zero.
         pair_row = next((i for i in range(k + 1, n) if pk * a[i][k + 1] != pk1 * a[i][k]), None)
         if pair_row is None:
@@ -159,6 +172,43 @@ def det_bareiss(matrix: IntMatrix) -> int:
     if k == n:  # the last pass took the last two columns: c0 is the determinant
         return sign * prev
     return sign * _rescale(a, base, n - 1, n - 1, prev)[n - 1]
+
+
+def _four_columns(a: list[list[int]], base: list[int], k: int, prev: int) -> int:
+    # Bareiss's four-step pass over columns k..k+3, pivot rows k..k+3 (all
+    # brought to prev).  Returns the new pivot c0 = det(block) / prev^3, or 0
+    # when the block is singular, touching no lower row.  cof[t] holds the
+    # cofactors of the block's row t over prev^2 (its 3x3 minors are
+    # multiples of prev^2), so u_t = x . cof[t] / prev is exact for every
+    # lower row x: it is det(block with row t replaced by x) / prev^3.
+    block = [_rescale(a, base, r, k, prev)[k : k + 4] for r in range(k, k + 4)]
+    cof = []
+    for t in range(4):
+        others = block[:t] + block[t + 1 :]
+        minors = (_det3([row[:s] + row[s + 1 :] for row in others]) for s in range(4))
+        cof.append([(-1) ** (s + t) * _exact_div(m, prev * prev) for s, m in enumerate(minors)])
+    c0 = _exact_div(sum(map(operator.mul, block[0], cof[0])), prev)
+    if c0 == 0:
+        return 0
+    tails = [a[r][k + 4 :] for r in range(k, k + 4)]
+    for i in range(k + 4, len(a)):
+        if not any(a[i][k : k + 4]):
+            continue
+        row_i = _rescale(a, base, i, k, prev)
+        x = row_i[k : k + 4]
+        u0, u1, u2, u3 = (_exact_div(sum(map(operator.mul, x, c)), prev) for c in cof)
+        tail = zip(row_i[k + 4 :], *tails)
+        row_i[k + 4 :] = _exact_quotients(
+            (c0 * y - u0 * p0 - u1 * p1 - u2 * p2 - u3 * p3 for y, p0, p1, p2, p3 in tail), prev
+        )
+        row_i[k : k + 4] = [0] * 4
+        base[i] = c0
+    return c0
+
+
+def _det3(m: list[list[int]]) -> int:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _swap(a: list[list[int]], base: list[int], i: int, j: int) -> int:

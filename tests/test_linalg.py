@@ -188,11 +188,12 @@ def test_det_matches_fraction_elimination_on_sparse_matrices(rows):
     assert det_bareiss(IntMatrix.from_rows(rows)) == fraction_det(rows)
 
 
-# Dense, so that pivots change and columns go in pairs: odd n ends on a
-# lone last column, even n on a last pair.
+# Dense, so that pivots change: columns go four to a pass while six or
+# more remain (n >= 6), then in pairs; odd n ends on a lone last column,
+# even n on a last pair.
 @settings(max_examples=150)
 @given(
-    st.integers(1, 8).flatmap(
+    st.integers(1, 12).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(-99, 99), min_size=n, max_size=n),
             min_size=n,
@@ -265,21 +266,41 @@ def _singular(rng, n):
     return rows
 
 
-def _zero_pivot_pair(rng, n):
-    # Unit pivots in the first m columns leave the rows below untouched.
-    # Then a_mm != 1 = prev, but row m+1, or every row below m, is a
-    # multiple of row m over columns m and m+1, so the 2x2 minor is 0 and
-    # the pair search must swap a lower row up or return 0.
-    m = rng.randrange(n - 1)
+def _unit_pivots_then(rng, n, m):
+    # Unit pivots in the first m columns leave the rows below untouched;
+    # then a_mm != 1 = prev.
     rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
     for i, row in enumerate(rows):
         row[: min(i, m)] = [0] * min(i, m)
         if i < m:
             row[i] = 1
     rows[m][m] = rng.choice([-3, 2, 5])
+    return rows
+
+
+def _zero_pivot_pair(rng, n):
+    # Row m+1, or every row below m, is a multiple of row m over columns m
+    # and m+1, so the 2x2 minor is 0 and the pair search must swap a lower
+    # row up or return 0.
+    m = rng.randrange(n - 1)
+    rows = _unit_pivots_then(rng, n, m)
     for row in rows[m + 1 : n if rng.random() < 0.5 else m + 2]:
         t = rng.choice([0, 1, -2, 3])
         row[m : m + 2] = [t * x for x in rows[m][m : m + 2]]
+    return rows
+
+
+def _singular_pivot_block(rng, n):
+    # Six or more columns are left after the unit pivots, but row m+3 is a
+    # combination of rows m..m+2 over columns m..m+3 only: the 4x4 pivot
+    # block is singular while the matrix need not be, so the pair pass runs.
+    n = max(n, 6)
+    m = rng.randrange(n - 5)
+    rows = _unit_pivots_then(rng, n, m)
+    s, t, v = (rng.choice([0, 1, -2, 3]) for _ in range(3))
+    rows[m + 3][m : m + 4] = [
+        s * x + t * y + v * z for x, y, z in zip(*(row[m : m + 4] for row in rows[m : m + 3]))
+    ]
     return rows
 
 
@@ -293,6 +314,7 @@ def _zero_pivot_pair(rng, n):
         _row_swaps,
         _singular,
         _zero_pivot_pair,
+        _singular_pivot_block,
     ],
 )
 def test_det_matches_fraction_elimination_on_structured_matrices(build):
@@ -303,7 +325,7 @@ def test_det_matches_fraction_elimination_on_structured_matrices(build):
         assert det_bareiss(IntMatrix.from_rows(rows)) == expected, rows
         if build in (_zero_leading_columns, _singular):
             assert expected == 0
-        if build is _row_swaps:
+        if build in (_row_swaps, _singular_pivot_block):
             assert expected != 0
 
 
@@ -331,6 +353,23 @@ def test_det_divides_once_per_entry_for_each_pair_of_columns(monkeypatch):
     )
     assert det_bareiss(IntMatrix.from_rows(rows)) == fraction_det(rows)
     assert len(batches) <= 66 // 2
+
+
+def test_det_divides_once_per_entry_for_each_four_columns(monkeypatch):
+    # The same matrix as above.  Four columns per pass while six or more
+    # remain, then pairs: 8 + 4 + 2 = 14 batches, where pairs alone take 30.
+    rng = random.Random(12)
+    rows = [[200 if i == j else rng.randint(-9, 9) for j in range(12)] for i in range(12)]
+    batches = []
+    quotients = polygcd.linalg._exact_quotients
+    monkeypatch.setattr(
+        polygcd.linalg,
+        "_exact_quotients",
+        lambda numerators, denominator: batches.append(denominator)
+        or quotients(numerators, denominator),
+    )
+    assert det_bareiss(IntMatrix.from_rows(rows)) == fraction_det(rows)
+    assert len(batches) <= 16
 
 
 # ---------------------------------------------------------------------------
