@@ -44,6 +44,8 @@ __all__ = ["main"]
 
 # Residues the text report prints per divisor.
 PREVIEW = 16
+# An snf matrix entry; int() would also read "1_0" and the digits of other scripts.
+_MATRIX_ENTRY = re.compile(r"[+-]?[0-9]+")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -293,14 +295,13 @@ def _cmd_snf(args: argparse.Namespace) -> int:
     else:
         text = sys.stdin.read()
     rows = [row for row in map(str.split, text.splitlines()) if row]
-    # int() would also read "1_0" and the digits of other scripts.
-    bad = [tok for row in rows for tok in row if not re.fullmatch(r"[+-]?[0-9]+", tok)]
+    bad = [tok for row in rows for tok in row if not _MATRIX_ENTRY.fullmatch(tok)]
     if bad:
         raise InputError(f"invalid literal for int() with base 10: {bad[0]!r}")
     if not rows:
         raise InputError("empty matrix input")
     matrix = IntMatrix.from_rows([[int(tok) for tok in row] for row in rows])
-    result = smith_normal_form(matrix)
+    result = smith_normal_form(matrix, transforms=args.transforms)
     with _printed("an integer in the answer"):
         if args.json:
             doc = {"d": [str(x) for x in result.d]}

@@ -2,11 +2,21 @@
 
 smith_normal_form(M) produces invariant factors d_1 | d_2 | ... (all
 nonnegative) together with square unimodular U, V such that U*M*V is the
-diagonal matrix of the d_i.  Every call re-verifies U*M*V = diag(d) entry
-by entry and |det U| = |det V| = 1 before the result is returned: for a
-square M with every d_i != 0 from prod(d) = |det M| (then det U * det V
-= +-1), otherwise from the Bareiss determinants of U and V.  A failure
-raises InvariantBreach since it can only mean a bug.
+diagonal matrix of the d_i.  Every elimination re-verifies U*M*V = diag(d)
+entry by entry and |det U| = |det V| = 1 before the result is returned:
+for a square M with every d_i != 0 from prod(d) = |det M| (then det U *
+det V = +-1), otherwise from the Bareiss determinants of U and V.  A
+failure raises InvariantBreach since it can only mean a bug.
+
+With transforms=False, U and V are None, and a square M with n >= 2 and
+D = |det M| != 0 first tries a proof that d = (1, ..., 1, D) with no
+elimination: the gcd of the (n-1)-minors, Delta_{n-1} = d_1 * ... *
+d_{n-1}, divides every (n-1)-minor and D = Delta_n, so gcd(D, one
+cofactor) = 1 forces Delta_{n-1} = 1 (Newman, Integral Matrices, ch. II).
+It takes the gcd of D with the cofactors of entries (n, n), (n-1, n) and
+(n, n-1) in turn, each a Bareiss determinant, and stops at 1.  Otherwise
+the elimination runs as above, so each answer rests on that proof or on
+the U*M*V check.
 
 Elimination to a diagonal is one routine, which clears column t below the
 pivot by row steps: on (A, U), then on the transposed trailing block of A
@@ -32,15 +42,26 @@ __all__ = ["SnfResult", "smith_normal_form"]
 
 
 class SnfResult(NamedTuple):
-    """Invariant factors d plus unimodular transforms with U*M*V = diag(d)."""
+    """Invariant factors d plus unimodular transforms with U*M*V = diag(d).
+
+    U and V are None when smith_normal_form ran with transforms=False.
+    """
 
     d: tuple[int, ...]
-    U: IntMatrix
-    V: IntMatrix
+    U: IntMatrix | None
+    V: IntMatrix | None
 
 
-def smith_normal_form(matrix: IntMatrix) -> SnfResult:
-    """Smith normal form of any rectangular integer matrix."""
+def smith_normal_form(matrix: IntMatrix, transforms: bool = True) -> SnfResult:
+    """Smith normal form of any rectangular integer matrix.
+
+    With transforms=False, U and V are None and a cyclic d may be proved
+    from det M and a cofactor instead of by elimination.
+    """
+    if not transforms:
+        cyclic = _cyclic_invariants(matrix)
+        if cyclic is not None:
+            return SnfResult(cyclic, None, None)
     rows, cols = matrix.rows, matrix.cols
     a = matrix.to_rows()
     u = IntMatrix.identity(rows).to_rows()
@@ -83,7 +104,26 @@ def smith_normal_form(matrix: IntMatrix) -> SnfResult:
 
     result = SnfResult(tuple(d), IntMatrix.from_rows(u), IntMatrix.from_rows(zip(*vt)))
     _verify(matrix, result)
-    return result
+    return result if transforms else SnfResult(result.d, None, None)
+
+
+def _cyclic_invariants(matrix):
+    # (1, ..., 1, |det M|) when |det M| != 0 is coprime to one of the
+    # cofactors of entries (n, n), (n-1, n), (n, n-1), else None.
+    n = matrix.rows
+    if n != matrix.cols or n < 2:
+        return None
+    det = abs(det_bareiss(matrix))
+    if det == 0:
+        return None
+    a = matrix.to_rows()
+    common = det
+    for i, j in ((n - 1, n - 1), (n - 2, n - 1), (n - 1, n - 2)):
+        minor = [row[:j] + row[j + 1 :] for r, row in enumerate(a) if r != i]
+        common = math.gcd(common, det_bareiss(IntMatrix.from_rows(minor)))
+        if common == 1:
+            return (1,) * (n - 1) + (det,)
+    return None
 
 
 def _smallest_nonzero(a, t, rows, cols):

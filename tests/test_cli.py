@@ -376,6 +376,27 @@ def test_snf_reads_signed_entries(capsys, monkeypatch):
     assert status == 0 and out == "d = 1 23\n"
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        polygcd.sylvester_matrix(MonicIntPoly.parse("x^17+9"), MonicIntPoly.parse("(x+1)^17+9")).to_rows(),
+        [[2, 0, 0], [0, 2, 0], [0, 0, 3]],
+    ],
+    ids=["certified", "not cyclic"],
+)
+def test_snf_prints_the_same_d_with_and_without_transforms(capsys, monkeypatch, rows):
+    # Without --transforms, the x^17+9 matrix takes the cyclic certificate
+    # and diag(2, 2, 3) the elimination.
+    text = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    outputs = {}
+    for flags in [(), ("--transforms",), ("--json",), ("--json", "--transforms")]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        status, outputs[flags], _ = run_cli(capsys, "snf", *flags)
+        assert status == 0
+    assert outputs[()] == outputs[("--transforms",)].splitlines(keepends=True)[0]
+    assert json.loads(outputs[("--json",)]) == {"d": json.loads(outputs[("--json", "--transforms")])["d"]}
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polygcd.snf
 from polygcd import (
@@ -192,6 +193,95 @@ def test_snf_of_a_34x34_sylvester_matrix_with_a_2_mod_3(a):
 
 
 # ---------------------------------------------------------------------------
+# transforms=False: the cyclic certificate from det M and a cofactor
+# ---------------------------------------------------------------------------
+
+
+def assert_same_d_without_transforms(matrix):
+    result = smith_normal_form(matrix, transforms=False)
+    assert result.d == smith_normal_form(matrix).d
+    assert result.U is None and result.V is None
+
+
+# Few distinct entries, with small primes among them, so that non-cyclic
+# forms and declined certificates come up; half the draws are singular.
+@settings(max_examples=200)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(st.sampled_from([0, 0, 1, -1, 2, -2, 3, 4, -6, 9]), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            ),
+            st.booleans(),
+        )
+    )
+)
+def test_d_without_transforms_equals_d_of_the_elimination(case):
+    rows, singular = case
+    if singular and len(rows) > 1:  # one row a multiple of another
+        rows[-1] = [2 * x for x in rows[0]]
+    assert_same_d_without_transforms(IntMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[-7]],
+        [[2, 4, 6], [1, 0, 3]],
+        [[2], [4], [6]],
+        [[2, 0, 0], [0, 2, 0], [0, 0, 3]],
+        [[2, 0], [0, 1]],
+        [[2, 4], [1, 2]],
+        sylvester_matrix(MonicIntPoly.parse("x^17+9"), MonicIntPoly.parse("(x+1)^17+9")).to_rows(),
+    ],
+    ids=["1x1", "wide", "tall", "diag(2,2,3)", "cyclic, declined", "singular", "x^17+9"],
+)
+def test_d_without_transforms_on_fixed_matrices(rows):
+    assert_same_d_without_transforms(IntMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize(
+    "rows, d",
+    [
+        ([[5, 3], [2, 1]], (1, 1)),  # |det| = 1
+        ([[2, 0], [1, 1]], (1, 2)),  # first cofactor 2 shares 2 with det, the second is 1
+        ([[2, 1], [2, 2]], (1, 2)),  # the first two share 2, the third is 1
+    ],
+)
+def test_certificate_tries_three_cofactors_in_turn(rows, d):
+    assert polygcd.snf._cyclic_invariants(IntMatrix.from_rows(rows)) == d
+
+
+def test_certificate_answers_the_34x34_sylvester_matrix_without_elimination(monkeypatch):
+    f, g = MonicIntPoly.parse("x^17+9"), MonicIntPoly.parse("(x+1)^17+9")
+    m = sylvester_matrix(f, g)
+    expected = (1,) * 33 + (abs(resultant_prs(f, g)),)
+    assert polygcd.snf._cyclic_invariants(m) == expected
+
+    def no_elimination(*args):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.setattr(polygcd.snf, "_smallest_nonzero", no_elimination)
+    assert smith_normal_form(m, transforms=False) == SnfResult(expected, None, None)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2, 0, 0], [0, 2, 0], [0, 0, 3]],  # d = (1, 2, 6) is not cyclic
+        [[2, 0], [0, 1]],  # cyclic, but 2 divides det and all three cofactors
+        [[2, 4], [1, 2]],  # singular
+        [[2, 4, 6], [1, 0, 3]],  # not square
+        [[6]],  # 1x1
+    ],
+)
+def test_certificate_declines(rows):
+    assert polygcd.snf._cyclic_invariants(IntMatrix.from_rows(rows)) is None
+
+
+# ---------------------------------------------------------------------------
 # Randomized contract + oracle comparison
 # ---------------------------------------------------------------------------
 
@@ -292,4 +382,6 @@ def test_nonzero_invariant_factors_match_sympy():
 
     for m in _sympy_matrices():
         expected = sympy_invariant_factors(sympy.Matrix(m.to_rows()), domain=sympy.ZZ)
-        assert [x for x in smith_normal_form(m).d if x] == [int(x) for x in expected if x]
+        expected = [int(x) for x in expected if x]
+        assert [x for x in smith_normal_form(m).d if x] == expected
+        assert [x for x in smith_normal_form(m, transforms=False).d if x] == expected
