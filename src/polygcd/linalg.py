@@ -9,7 +9,8 @@ also evaluates the determinant with fraction-free Bareiss elimination
 (``det_bareiss``), a structurally independent value to cross-check against.
 Past the monic f block, Bareiss takes four columns per pass while six or
 more remain, so each entry costs one exact division per four columns; where
-the 4x4 pivot block is singular, and for the last columns, it takes pairs.
+the 4x4 pivot block is singular, and once fewer than six columns remain,
+it steps one column at a time.
 The same walk of the sequence yields the first subresultant S_1, from which
 the atlas reads its generator.
 """
@@ -98,22 +99,22 @@ def det_bareiss(matrix: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination.
 
     Column k's pivot pk is its first nonzero entry on or below row k.  When
-    pk equals the previous pivot prev, a one-column step changes a row only
-    where the pivot row is nonzero (the monic f block of a Sylvester
-    matrix).  Otherwise, while six or more columns remain, a pass takes
-    columns k..k+3 (Bareiss's multistep form) with rows k..k+3 as the pivot
-    block: the new pivot is c0 = det(block) / prev^3, and each row below,
-    with x its four block entries, becomes (c0*a - sum(u_t*p_t)) / prev
-    over its tail, where p_t is pivot row k+t and u_t = x . cof_t / prev
-    for the block's row-t cofactors cof_t over prev^2: 5 products and one
-    division per entry for all four columns.  When that block is singular,
-    or fewer than six columns remain, a pass takes columns k and k+1 (the
-    two-step form): row k+1 becomes the first lower row whose 2x2 minor
-    with row k is nonzero, and each row below becomes (c0*x + c1*y + c2*z)
-    / prev.  A column with no pivot, or no such row, makes the determinant
-    0.  A row whose pivot-column entries are all 0 is not touched: it keeps
-    the pivot it was last brought up to date at (its base) and is rescaled
-    by prev/base when it is next used.  Every division checks its remainder.
+    pk differs from the previous pivot prev and six or more columns
+    remain, a pass takes columns k..k+3 (Bareiss's multistep form) with
+    rows k..k+3 as the pivot block: the new pivot is c0 = det(block) /
+    prev^3, and each row below, with x its four block entries, becomes
+    (c0*a - sum(u_t*p_t)) / prev over its tail, where p_t is pivot row k+t
+    and u_t = x . cof_t / prev for the block's row-t cofactors cof_t over
+    prev^2: 5 products and one division per entry for all four columns.
+    Otherwise, and when that block is singular, a one-column step makes
+    each row below, with x its entry in column k, (pk*a - x*p) / prev over
+    its tail, p the pivot row; with pk == prev (the monic f block of a
+    Sylvester matrix) it touches only the columns where p is nonzero.  A
+    column with no pivot makes the determinant 0, and the last pivot is
+    the determinant.  A row whose pivot-column entries are all 0 is not
+    touched: it keeps the pivot it was last brought up to date at (its
+    base) and is rescaled by prev/base when it is next used.  Every
+    division checks its remainder.
     """
     if matrix.rows != matrix.cols:
         raise InputError("determinant needs a square matrix")
@@ -123,55 +124,35 @@ def det_bareiss(matrix: IntMatrix) -> int:
     sign = 1
     prev = 1
     k = 0
-    while k < n - 1:
+    while k < n:
         pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
         if pivot_row is None:
             return 0
-        sign *= _swap(a, base, k, pivot_row)
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            base[k], base[pivot_row] = base[pivot_row], base[k]
+            sign = -sign
         row_k = _rescale(a, base, k, k, prev)
-        pk, pk1 = row_k[k], row_k[k + 1]
-        if pk == prev:
-            nonzero = [j for j in range(k + 1, n) if row_k[j]]
-            for i in range(k + 1, n):
-                if a[i][k] == 0:
-                    continue
-                row_i = _rescale(a, base, i, k, prev)
-                aik = row_i[k]
-                for j in nonzero:
-                    row_i[j] = _exact_div(row_i[j] * pk - aik * row_k[j], prev)
-                row_i[k] = 0
-            k += 1
-            continue
-        if n - k >= 6:
+        pk = row_k[k]
+        if pk != prev and n - k >= 6:
             c0 = _four_columns(a, base, k, prev)
             if c0:
                 prev = c0
                 k += 4
                 continue
-        # A row's scale by prev/base cannot make its minor with row k zero.
-        pair_row = next((i for i in range(k + 1, n) if pk * a[i][k + 1] != pk1 * a[i][k]), None)
-        if pair_row is None:
-            return 0
-        sign *= _swap(a, base, k + 1, pair_row)
-        row_1 = _rescale(a, base, k + 1, k, prev)
-        q0, q1 = row_1[k], row_1[k + 1]
-        c0 = _exact_div(pk * q1 - pk1 * q0, prev)
-        for i in range(k + 2, n):
-            if a[i][k] == 0 and a[i][k + 1] == 0:
+        columns = range(k + 1, n) if pk != prev else [j for j in range(k + 1, n) if row_k[j]]
+        for i in range(k + 1, n):
+            if a[i][k] == 0:
                 continue
             row_i = _rescale(a, base, i, k, prev)
-            x0, x1 = row_i[k], row_i[k + 1]
-            c1 = _exact_div(pk1 * x0 - pk * x1, prev)
-            c2 = _exact_div(q0 * x1 - q1 * x0, prev)
-            tail = zip(row_i[k + 2 :], row_1[k + 2 :], row_k[k + 2 :])
-            row_i[k + 2 :] = _exact_quotients((c0 * x + c1 * y + c2 * z for x, y, z in tail), prev)
-            row_i[k] = row_i[k + 1] = 0
-            base[i] = c0
-        prev = c0
-        k += 2
-    if k == n:  # the last pass took the last two columns: c0 is the determinant
-        return sign * prev
-    return sign * _rescale(a, base, n - 1, n - 1, prev)[n - 1]
+            aik = row_i[k]
+            for j in columns:
+                row_i[j] = _exact_div(row_i[j] * pk - aik * row_k[j], prev)
+            row_i[k] = 0
+            base[i] = pk
+        prev = pk
+        k += 1
+    return sign * prev  # k == n: the last step's pivot is the determinant
 
 
 def _four_columns(a: list[list[int]], base: list[int], k: int, prev: int) -> int:
@@ -209,15 +190,6 @@ def _four_columns(a: list[list[int]], base: list[int], k: int, prev: int) -> int
 def _det3(m: list[list[int]]) -> int:
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _swap(a: list[list[int]], base: list[int], i: int, j: int) -> int:
-    # Exchange rows i and j with their bases; returns the sign this gives det.
-    if i == j:
-        return 1
-    a[i], a[j] = a[j], a[i]
-    base[i], base[j] = base[j], base[i]
-    return -1
 
 
 def _rescale(a: list[list[int]], base: list[int], i: int, k: int, prev: int) -> list[int]:

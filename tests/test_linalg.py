@@ -189,8 +189,7 @@ def test_det_matches_fraction_elimination_on_sparse_matrices(rows):
 
 
 # Dense, so that pivots change: columns go four to a pass while six or
-# more remain (n >= 6), then in pairs; odd n ends on a lone last column,
-# even n on a last pair.
+# more remain (n >= 6), then one at a time.
 @settings(max_examples=150)
 @given(
     st.integers(1, 12).flatmap(
@@ -280,8 +279,9 @@ def _unit_pivots_then(rng, n, m):
 
 def _zero_pivot_pair(rng, n):
     # Row m+1, or every row below m, is a multiple of row m over columns m
-    # and m+1, so the 2x2 minor is 0 and the pair search must swap a lower
-    # row up or return 0.
+    # and m+1, so the 2x2 minor is 0: a four-column pass at m steps over it,
+    # while after a one-column step at m, column m+1 must swap a lower row
+    # up or return 0.
     m = rng.randrange(n - 1)
     rows = _unit_pivots_then(rng, n, m)
     for row in rows[m + 1 : n if rng.random() < 0.5 else m + 2]:
@@ -293,7 +293,8 @@ def _zero_pivot_pair(rng, n):
 def _singular_pivot_block(rng, n):
     # Six or more columns are left after the unit pivots, but row m+3 is a
     # combination of rows m..m+2 over columns m..m+3 only: the 4x4 pivot
-    # block is singular while the matrix need not be, so the pair pass runs.
+    # block is singular while the matrix need not be, so a one-column step
+    # with pk != prev runs.
     n = max(n, 6)
     m = rng.randrange(n - 5)
     rows = _unit_pivots_then(rng, n, m)
@@ -301,6 +302,27 @@ def _singular_pivot_block(rng, n):
     rows[m + 3][m : m + 4] = [
         s * x + t * y + v * z for x, y, z in zip(*(row[m : m + 4] for row in rows[m : m + 3]))
     ]
+    return rows
+
+
+def _two_singular_pivot_blocks(rng, n):
+    # The construction above at m and at m+5, the second over columns
+    # m..m+8, so that past the unit pivots the leading minors of orders 4
+    # and 9 are 0.  The block is singular at pass m, so a one-column step
+    # runs; unless another minor is 0 by chance (5 of the 150 draws), a
+    # four-column pass takes columns m+1..m+4, the block is singular at
+    # pass m+5, and another four-column pass follows.  The last row is 0 in
+    # columns m..m+5, so no pass touches it before the four-column pass at
+    # m+6, which rescales it across the three passes before.
+    n = max(n, 6) + 6
+    m = rng.randrange(n - 11)
+    rows = _unit_pivots_then(rng, n, m)
+    for r in (m, m + 5):
+        s, t, v = (rng.choice([0, 1, -2, 3]) for _ in range(3))
+        rows[r + 3][m : r + 4] = [
+            s * x + t * y + v * z for x, y, z in zip(*(row[m : r + 4] for row in rows[r : r + 3]))
+        ]
+    rows[-1][m : m + 6] = [0] * 6
     return rows
 
 
@@ -315,6 +337,7 @@ def _singular_pivot_block(rng, n):
         _singular,
         _zero_pivot_pair,
         _singular_pivot_block,
+        _two_singular_pivot_blocks,
     ],
 )
 def test_det_matches_fraction_elimination_on_structured_matrices(build):
@@ -325,7 +348,7 @@ def test_det_matches_fraction_elimination_on_structured_matrices(build):
         assert det_bareiss(IntMatrix.from_rows(rows)) == expected, rows
         if build in (_zero_leading_columns, _singular):
             assert expected == 0
-        if build in (_row_swaps, _singular_pivot_block):
+        if build in (_row_swaps, _singular_pivot_block, _two_singular_pivot_blocks):
             assert expected != 0
 
 
@@ -336,40 +359,34 @@ def test_det_of_the_stress_family_sylvester_matrix_is_the_prs_resultant(k, a):
     assert det_bareiss(sylvester_matrix(f, g)) == resultant_prs(f, g) != 0
 
 
-def test_det_divides_once_per_entry_for_each_pair_of_columns(monkeypatch):
-    # Strictly diagonally dominant, so every leading minor is nonzero and no
-    # row is swapped.  One column per step divides each lower row once per
-    # column, 11 + 10 + ... + 1 = 66 batches; pairs of columns, 10 + 8 + ...
-    # + 2 = 30.
-    rng = random.Random(12)
-    rows = [[200 if i == j else rng.randint(-9, 9) for j in range(12)] for i in range(12)]
-    batches = []
-    quotients = polygcd.linalg._exact_quotients
-    monkeypatch.setattr(
-        polygcd.linalg,
-        "_exact_quotients",
-        lambda numerators, denominator: batches.append(denominator)
-        or quotients(numerators, denominator),
-    )
-    assert det_bareiss(IntMatrix.from_rows(rows)) == fraction_det(rows)
-    assert len(batches) <= 66 // 2
-
-
 def test_det_divides_once_per_entry_for_each_four_columns(monkeypatch):
-    # The same matrix as above.  Four columns per pass while six or more
-    # remain, then pairs: 8 + 4 + 2 = 14 batches, where pairs alone take 30.
+    # Strictly diagonally dominant, so every leading minor is nonzero and no
+    # row is swapped.  One column per step divides each entry below and right
+    # of every pivot, 11^2 + 10^2 + ... + 1^2 = 506 divisions, in no batch.
+    # Four columns per pass while six or more remain divide each lower row's
+    # tail once per pass, 8 + 4 batches, and with the multipliers u_t and the
+    # block's cofactors take 113 + 49 divisions; the last four columns then go
+    # one at a time, entry by entry, 9 + 4 + 1 more.
     rng = random.Random(12)
     rows = [[200 if i == j else rng.randint(-9, 9) for j in range(12)] for i in range(12)]
-    batches = []
-    quotients = polygcd.linalg._exact_quotients
-    monkeypatch.setattr(
-        polygcd.linalg,
-        "_exact_quotients",
-        lambda numerators, denominator: batches.append(denominator)
-        or quotients(numerators, denominator),
-    )
+    batches, divisions = [], []
+    quotients, div = polygcd.linalg._exact_quotients, polygcd.linalg._exact_div
+
+    def counted_quotients(numerators, denominator):
+        result = quotients(numerators, denominator)
+        batches.append(denominator)
+        divisions.extend([denominator] * len(result))
+        return result
+
+    def counted_div(numerator, denominator):
+        divisions.append(denominator)
+        return div(numerator, denominator)
+
+    monkeypatch.setattr(polygcd.linalg, "_exact_quotients", counted_quotients)
+    monkeypatch.setattr(polygcd.linalg, "_exact_div", counted_div)
     assert det_bareiss(IntMatrix.from_rows(rows)) == fraction_det(rows)
     assert len(batches) <= 16
+    assert len(divisions) <= 506 // 2
 
 
 # ---------------------------------------------------------------------------
