@@ -17,8 +17,9 @@ or the prime that rules one out, found from gcds with the parts of r (as
 one period for any r that ``factor`` splits.  The profile convolves one
 local table per p^e, the closed form of gcd(n - c, p^e) when p does not
 divide s1 and a tree of classes a mod p^j, of at most min(deg f, deg g) * e
-nodes, when it does; its minimal period, which ``minimal_period`` returns
-for any nonzero r, is the product of the local ones.  Under ``verify`` one
+nodes, when it does; its minimal period is the product of the local ones.
+Those of the closed form multiply to R_1, the largest divisor of |r| coprime
+to s1, so ``minimal_period`` factors only |r| / R_1.  Under ``verify`` one
 pass after the outcome is built checks r against the Bareiss determinant,
 each c mod p against the common root of a gcd in F_p[x], and the atlas or
 the profile and the witness verdict against the brute-force oracle, which
@@ -164,10 +165,11 @@ def analyze(
         samples = tuple(math.gcd(f.evaluate(n), g.evaluate(n)) for n in range(8))
         outcome = ZeroResultant(gcd_over_Z(f, g), samples)
     else:
+        coprime, c = _closed_form(r, s1, s0)
         fact = factor(r)
         if is_squarefree(fact):
             outcome = build_atlas(
-                fact, s1, s0, residue_cap=residue_cap, divisor_cap=divisor_cap
+                fact, coprime, c, residue_cap=residue_cap, divisor_cap=divisor_cap
             )
         else:
             # What trial division would leave to place: each prime below
@@ -176,7 +178,7 @@ def analyze(
                 p if p < _TRIAL_DIVISION_BOUND else p**e for p, e in fact.factors
             )
             witness, common_prime = _place_witness(f, g, r, unplaced)
-            profile = _gcd_profile(f, g, fact, s1, divisor_cap)
+            profile = _gcd_profile(f, g, fact, coprime, divisor_cap)
             outcome = NotSquarefree(fact, profile, witness, common_prime)
     if verify:
         _verify(f, g, r, outcome, brute_cap)
@@ -230,23 +232,13 @@ def _verify(f: MonicIntPoly, g: MonicIntPoly, r: int, outcome: AnalysisOutcome, 
 
 
 def build_atlas(
-    fact: Factorization,
-    s1: int,
-    s0: int,
-    *,
-    residue_cap: int,
-    divisor_cap: int,
+    fact: Factorization, coprime: int, c: int, *, residue_cap: int, divisor_cap: int
 ) -> GcdAtlas:
-    """Atlas for the square-free resultant ``fact`` of (f, g) and its S_1.
-
-    With c = -s0/s1 mod |r|, the common root of f and g mod each p | r is c mod p.
-    """
+    """Atlas for the square-free resultant ``fact`` of (f, g) from its closed form
+    (coprime, c): the common root of f and g mod each p | r is c mod p."""
     modulus = abs(fact.n)
-    if math.gcd(s1, modulus) != 1:
-        raise InvariantBreach(
-            f"the subresultant chain gives s1 = {s1}, not a unit mod r = {fact.n}"
-        )
-    c = -s0 * pow(s1, -1, modulus) % modulus
+    if coprime != modulus:
+        raise InvariantBreach(f"the subresultant chain's s1 is not a unit mod r = {fact.n}")
     primes = list(fact.primes())
     roots = {p: c % p for p in primes}
     entries = []
@@ -285,14 +277,20 @@ def _atlas_entry(
 
 
 def _gcd_profile(
-    f: MonicIntPoly, g: MonicIntPoly, fact: Factorization, s1: int, divisor_cap: int
+    f: MonicIntPoly, g: MonicIntPoly, fact: Factorization, coprime: int, divisor_cap: int
 ) -> GcdProfile:
     # The p-parts of gcd(f(n), g(n)) for the different primes p | r are
     # independent by CRT, so the value histogram is the multiplicative
     # convolution of the local histograms (their keys are coprime, so no two
     # products collide) and the minimal period is the product of the local ones.
     # Its size is the product of theirs, at most the divisor count of |r|.
-    histograms, periods = zip(*(_local_table(f, g, p, e, s1) for p, e in fact.factors))
+    # For p | coprime the p-part is gcd(n - c, p^e): p^k for phi(p^(e-k)) of
+    # the n mod p^e; for the other p the lifting tree gives it.
+    histograms, periods = zip(*(
+        ({**{p**k: (p - 1) * p ** (e - k - 1) for k in range(e)}, p**e: 1}, p**e)
+        if coprime % p == 0 else _lifting_tree(f, g, p, e)
+        for p, e in fact.factors
+    ))
     count = math.prod(map(len, histograms))
     if count > divisor_cap:
         raise CapExceeded(f"gcd value count {count} exceeds cap {divisor_cap}")
@@ -302,21 +300,6 @@ def _gcd_profile(
             a * b: ca * cb for a, ca in histogram.items() for b, cb in local.items()
         }
     return GcdProfile(dict(sorted(histogram.items())), math.prod(periods))
-
-
-def _local_table(
-    f: MonicIntPoly, g: MonicIntPoly, p: int, e: int, s1: int
-) -> tuple[dict[int, int], int]:
-    """Histogram of the p-part of gcd(f(n), g(n)) over n mod p^e, and its
-    minimal period, for p^e exactly dividing the resultant.
-
-    The p-part never exceeds p^e and depends only on n mod p^e.
-    """
-    if s1 % p:
-        # The p-part is gcd(n - c, p^e): p^k exactly for phi(p^(e-k)) of the n.
-        histogram = {p**k: (p - 1) * p ** (e - k - 1) for k in range(e)}
-        return {**histogram, p**e: 1}, p**e
-    return _lifting_tree(f, g, p, e)
 
 
 def _lifting_tree(f: MonicIntPoly, g: MonicIntPoly, p: int, e: int) -> tuple[dict[int, int], int]:
@@ -364,14 +347,26 @@ def _shift(F: list[int], t: int, p: int, q: int) -> list[int]:
 def minimal_period(f: MonicIntPoly, g: MonicIntPoly) -> int:
     """Smallest positive t with gcd(f(n), g(n)) = gcd(f(n+t), g(n+t)) for all n.
 
-    It is the product of the local minimal periods of _local_table, one per
-    p^e exactly dividing r: p^e when p does not divide s1, else the lifting
-    tree's.  No |r| values are scanned.
+    It is R_1, the largest divisor of |r| coprime to s1, on which the gcd is
+    gcd(n - c, R_1), times the lifting tree's minimal period for each p^e
+    exactly dividing |r| / R_1.  R_1 is never factored, and no |r| values
+    are scanned.
     """
-    r, (s1, _) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
+    r, (s1, s0) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
     if r == 0:
         raise InputError("resultant is zero: no finite period exists in general")
-    return math.prod(_local_table(f, g, p, e, s1)[1] for p, e in factor(r).factors)
+    coprime, _ = _closed_form(r, s1, s0)
+    return coprime * math.prod(
+        _lifting_tree(f, g, p, e)[1] for p, e in factor(abs(r) // coprime).factors
+    )
+
+
+def _closed_form(r: int, s1: int, s0: int) -> tuple[int, int]:
+    """(R_1, c): R_1 the largest divisor of |r| coprime to s1 (1 when s1 = 0),
+    and c = -s0/s1 mod R_1, so that gcd(f(n), g(n)) has the part gcd(n - c, R_1)
+    at the primes of R_1: S_1 = s1*x + s0 lies in the ideal (f, g)."""
+    coprime = _coprime_part(abs(r), s1)
+    return coprime, -s0 * pow(s1, -1, coprime) % coprime
 
 
 def coprime_witness(f: MonicIntPoly, g: MonicIntPoly) -> int:

@@ -11,6 +11,7 @@ from polygcd import (
     BruteForceProfile,
     CapExceeded,
     CriterionInapplicable,
+    DIVISOR_CAP,
     Factorization,
     GcdAtlas,
     GcdProfile,
@@ -32,7 +33,7 @@ import polygcd.analysis
 import polygcd.cli
 import polygcd.linalg
 import polygcd.ntheory
-from polygcd.analysis import _coprime_part, _lifting_tree, _local_table
+from polygcd.analysis import _closed_form, _coprime_part, _gcd_profile, _lifting_tree
 from polygcd.errors import InputError
 from polygcd.linalg import _subresultant_resultant
 from polygcd.ntheory import _trial_divide
@@ -332,12 +333,14 @@ def test_minimal_period_rejects_zero_resultant():
 
 
 def test_minimal_period_divides_r_and_is_a_true_period():
+    # The period is R_1 times the trees' periods; count the pairs where both
+    # factors are nontrivial, 1 < R_1 < |r|.
     rng = random.Random(909)
-    tested = 0
+    tested = mixed = 0
     while tested < 50:
         f = random_monic(rng, max_degree=3)
         g = random_monic(rng, max_degree=3)
-        r = resultant(f, g)
+        r, (s1, s0) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
         if r == 0 or abs(r) > 2000:
             continue
         t = minimal_period(f, g)
@@ -348,6 +351,8 @@ def test_minimal_period_divides_r_and_is_a_true_period():
                 f.evaluate(n + t), g.evaluate(n + t)
             )
         tested += 1
+        mixed += 1 < _closed_form(r, s1, s0)[0] < abs(r)
+    assert mixed >= 3
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +407,7 @@ def test_not_squarefree_profile_agrees_with_brute_force_on_the_acceptance_pool()
 
 
 def test_closed_form_tables_match_the_lifting_tree_on_the_acceptance_pool():
-    # s1 = 0 sends every prime through the lifting tree.
+    # coprime = 1 sends every prime through the lifting tree.
     checked = 0
     for f, g, r in acceptance_pair_pool():
         if r == 0 or abs(r) > 10**4:
@@ -410,7 +415,10 @@ def test_closed_form_tables_match_the_lifting_tree_on_the_acceptance_pool():
         _, (s1, _) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
         for p, e in factor(r).factors:
             if s1 % p and e >= 2:
-                assert _local_table(f, g, p, e, s1) == _local_table(f, g, p, e, 0)
+                local = factor(p**e)
+                assert _gcd_profile(f, g, local, p**e, DIVISOR_CAP) == _gcd_profile(
+                    f, g, local, 1, DIVISOR_CAP
+                )
                 checked += 1
     assert checked >= 250
 
@@ -421,11 +429,11 @@ def test_analyze_verify_cross_checks_the_not_squarefree_profile(monkeypatch):
     assert isinstance(outcome, NotSquarefree)
     assert outcome.profile.period == 16
 
-    def table_with_wrong_period(f, g, p, e, s1):
-        histogram, period = _local_table(f, g, p, e, s1)
+    def tree_with_wrong_period(f, g, p, e):
+        histogram, period = _lifting_tree(f, g, p, e)
         return histogram, period * p
 
-    monkeypatch.setattr(polygcd.analysis, "_local_table", table_with_wrong_period)
+    monkeypatch.setattr(polygcd.analysis, "_lifting_tree", tree_with_wrong_period)
     assert analyze(f, g).profile.period == 32
     with pytest.raises(InvariantBreach):
         analyze(f, g, verify=True)

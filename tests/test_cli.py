@@ -272,28 +272,41 @@ def test_period_above_the_brute_force_cap(capsys):
 
 @pytest.mark.parametrize("command", [["analyze"], ["period"]])
 def test_rho_out_of_budget_exits_2(capsys, monkeypatch, command):
-    # r = 1000003 * 1000033, which rho splits in about 3400 steps.
+    # r = 1000003 * 1000033, which rho splits in about 3400 steps.  analyze
+    # needs the primes; s1 = 1, so the period is |r| and period runs no rho.
     argv = [*command, "--f", "x", "--g", "x+1000003*1000033"]
     assert run_cli(capsys, *argv)[0] == 0
     monkeypatch.setattr(polygcd.ntheory, "RHO_BUDGET", 100)
-    assert run_cli(capsys, *argv) == (
+    refused = (
         2,
         "",
         "error: Pollard rho did not split a 13-digit cofactor within its work budget of 100 steps\n",
     )
+    answered = (0, "1000036000099\n", "")
+    assert run_cli(capsys, *argv) == (refused if command == ["analyze"] else answered)
+
+
+PERIOD_TOO_LONG = (
+    f"error: the period has more than {sys.get_int_max_str_digits()} digits,"
+    " the interpreter's limit for printing an integer\n"
+)
 
 
 @pytest.mark.parametrize("command", ["analyze", "period"])
 def test_primality_test_beyond_the_budget_exits_2(capsys, command):
     # r = 2^16000 - 1 leaves a 4793-digit cofactor after trial division; its
     # perfect-power search fits the budget, but its Baillie-PSW test would be
-    # charged 7.6 * 10^7 steps, so it is refused unrun.
+    # charged 7.6 * 10^7 steps, so it is refused unrun.  period factors
+    # nothing, since s1 = 1: its answer |r| has 4817 digits, too many to print.
     start = time.perf_counter()
+    refused = (
+        "error: a primality test on a 4793-digit cofactor would exceed"
+        " the work budget of 10000000 steps\n"
+    )
     assert run_cli(capsys, command, "--f", "x+2^16000", "--g", "x+1") == (
         2,
         "",
-        "error: a primality test on a 4793-digit cofactor would exceed"
-        " the work budget of 10000000 steps\n",
+        refused if command == "analyze" else PERIOD_TOO_LONG,
     )
     assert time.perf_counter() - start < 2
 
@@ -306,15 +319,27 @@ def test_primality_test_beyond_the_budget_exits_2(capsys, command):
 def test_factoring_a_huge_resultant_exits_2_quickly(capsys, command, k, refused):
     # r has some 48 000 bits for k = 3 and 1.6 million for k = 100.  The
     # budget pays for the search's roots: at k = 3 they fit and the
-    # primality test does not, at k = 100 not even one root fits.
+    # primality test does not, at k = 100 not even one root fits.  period
+    # factors nothing, since s1 = 1, and its answer |r| is too long to print.
     start = time.perf_counter()
     argv = (command, "--f", f"x^{k}+2^16000", "--g", f"x^{k}+x+3")
     assert run_cli(capsys, *argv) == (
         2,
         "",
-        f"error: {refused} cofactor would exceed the work budget of 10000000 steps\n",
+        f"error: {refused} cofactor would exceed the work budget of 10000000 steps\n"
+        if command == "analyze"
+        else PERIOD_TOO_LONG,
     )
     assert time.perf_counter() - start < 5
+
+
+def test_period_of_a_semiprime_resultant_needs_no_factoring(capsys):
+    # r = p * q for a 30-digit p and a 31-digit q, which rho would need some
+    # 10^14 steps to split; s1 = 1, so the period is |r| unfactored.
+    pq = 100000000000000000000000000319 * 3000000000000000000000000000091
+    start = time.perf_counter()
+    assert run_cli(capsys, "period", "--f", "x", "--g", f"x+{pq}") == (0, f"{pq}\n", "")
+    assert time.perf_counter() - start < 2
 
 
 # ---------------------------------------------------------------------------
