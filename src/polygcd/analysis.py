@@ -21,9 +21,9 @@ nodes, when it does; its minimal period is the product of the local ones.
 Those of the closed form multiply to R_1, the largest divisor of |r| coprime
 to s1, so ``minimal_period`` factors only |r| / R_1.  Under ``verify`` one
 pass after the outcome is built checks r against the Bareiss determinant,
-each c mod p against the common root of a gcd in F_p[x], and the atlas or
-the profile and the witness verdict against the brute-force oracle, which
-alone reads the brute-force cap.
+each c mod p against the common root of a gcd in F_p[x], and, when |r| is
+within BRUTE_FORCE_CAP, the atlas or the profile and the witness verdict
+against the brute-force oracle.
 """
 from __future__ import annotations
 
@@ -147,19 +147,20 @@ def analyze(
     f: MonicIntPoly,
     g: MonicIntPoly,
     *,
-    brute_cap: int = BRUTE_FORCE_CAP,
     residue_cap: int = RESIDUE_LISTING_CAP,
-    divisor_cap: int = DIVISOR_CAP,
     verify: bool = False,
 ) -> AnalysisOutcome:
     """Classify the pair (f, g) and build the atlas when it exists.
 
-    With ``verify=True`` the resultant is cross-checked against the Bareiss
+    Each atlas entry lists at most ``residue_cap`` residues.  With
+    ``verify=True`` the resultant is cross-checked against the Bareiss
     determinant of the Sylvester matrix, every root c mod p of the atlas
-    against ``common_root_mod_p`` and, when |r| is within ``brute_cap``,
+    against ``common_root_mod_p`` and, when |r| is within BRUTE_FORCE_CAP,
     the atlas (entry by entry) or the non-square-free profile and witness
-    verdict against the brute-force oracle; ``brute_cap`` bounds nothing else.
+    verdict against the brute-force oracle.
     """
+    if residue_cap < 1:
+        raise InputError(f"caps must be positive, got {residue_cap}")
     r, (s1, s0) = _subresultant_resultant(list(f.coeffs), list(g.coeffs))
     if r == 0:
         samples = tuple(math.gcd(f.evaluate(n), g.evaluate(n)) for n in range(8))
@@ -168,9 +169,7 @@ def analyze(
         coprime, c = _closed_form(r, s1, s0)
         fact = factor(r)
         if is_squarefree(fact):
-            outcome = build_atlas(
-                fact, coprime, c, residue_cap=residue_cap, divisor_cap=divisor_cap
-            )
+            outcome = build_atlas(fact, coprime, c, residue_cap=residue_cap)
         else:
             # What trial division would leave to place: each prime below
             # 1000 once, and the cofactor of the larger ones whole.
@@ -178,14 +177,14 @@ def analyze(
                 p if p < _TRIAL_DIVISION_BOUND else p**e for p, e in fact.factors
             )
             witness, common_prime = _place_witness(f, g, r, unplaced)
-            profile = _gcd_profile(f, g, fact, coprime, divisor_cap)
+            profile = _gcd_profile(f, g, fact, coprime)
             outcome = NotSquarefree(fact, profile, witness, common_prime)
     if verify:
-        _verify(f, g, r, outcome, brute_cap)
+        _verify(f, g, r, outcome)
     return outcome
 
 
-def _verify(f: MonicIntPoly, g: MonicIntPoly, r: int, outcome: AnalysisOutcome, brute_cap: int):
+def _verify(f: MonicIntPoly, g: MonicIntPoly, r: int, outcome: AnalysisOutcome):
     # Every check of analyze(verify=True), each made once; the first disagreement
     # raises.  The oracle's modulus comes from resultant(verify=True), which
     # checks the PRS against Bareiss, so only without the oracle is it done here.
@@ -198,10 +197,10 @@ def _verify(f: MonicIntPoly, g: MonicIntPoly, r: int, outcome: AnalysisOutcome, 
                     f"common root mod {p}: the subresultant gives {c},"
                     f" the gcd mod {p} gives {c_p}"
                 )
-    if not 0 < abs(r) <= brute_cap:
+    if not 0 < abs(r) <= BRUTE_FORCE_CAP:
         _check_bareiss(f, g, r)
         return
-    oracle = brute_force_profile(f, g, cap=brute_cap)
+    oracle = brute_force_profile(f, g)
     if oracle.modulus != abs(r):
         raise InvariantBreach(f"the oracle's period {oracle.modulus} is not |r| = {abs(r)}")
     if isinstance(outcome, GcdAtlas):
@@ -231,9 +230,7 @@ def _verify(f: MonicIntPoly, g: MonicIntPoly, r: int, outcome: AnalysisOutcome, 
         raise InvariantBreach("the coprime-witness verdict disagrees with the brute-force oracle")
 
 
-def build_atlas(
-    fact: Factorization, coprime: int, c: int, *, residue_cap: int, divisor_cap: int
-) -> GcdAtlas:
+def build_atlas(fact: Factorization, coprime: int, c: int, *, residue_cap: int) -> GcdAtlas:
     """Atlas for the square-free resultant ``fact`` of (f, g) from its closed form
     (coprime, c): the common root of f and g mod each p | r is c mod p."""
     modulus = abs(fact.n)
@@ -243,7 +240,7 @@ def build_atlas(
     roots = {p: c % p for p in primes}
     entries = []
     total = 0
-    for d in divisors(fact, cap=divisor_cap):
+    for d in divisors(fact):
         entry = _atlas_entry(modulus, primes, c, d, residue_cap)
         total += entry.multiplicity
         entries.append(entry)
@@ -276,9 +273,7 @@ def _atlas_entry(
     return AtlasEntry(d, multiplicity, tuple(residues))
 
 
-def _gcd_profile(
-    f: MonicIntPoly, g: MonicIntPoly, fact: Factorization, coprime: int, divisor_cap: int
-) -> GcdProfile:
+def _gcd_profile(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization, coprime: int) -> GcdProfile:
     # The p-parts of gcd(f(n), g(n)) for the different primes p | r are
     # independent by CRT, so the value histogram is the multiplicative
     # convolution of the local histograms (their keys are coprime, so no two
@@ -292,8 +287,8 @@ def _gcd_profile(
         for p, e in fact.factors
     ))
     count = math.prod(map(len, histograms))
-    if count > divisor_cap:
-        raise CapExceeded(f"gcd value count {count} exceeds cap {divisor_cap}")
+    if count > DIVISOR_CAP:
+        raise CapExceeded(f"gcd value count {count} exceeds cap {DIVISOR_CAP}")
     histogram = {1: 1}
     for local in histograms:
         histogram = {

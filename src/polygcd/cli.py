@@ -35,8 +35,8 @@ from .errors import (
 )
 from .linalg import IntMatrix, resultant
 # factor is not called here; bench/tracing.py BINDINGS rebinds polygcd.cli.factor.
-from .ntheory import DIVISOR_CAP, MR_DETERMINISTIC_BOUND, Factorization, factor
-from .oracle import BRUTE_FORCE_CAP, brute_force_profile
+from .ntheory import MR_DETERMINISTIC_BOUND, Factorization, factor
+from .oracle import brute_force_profile
 from .poly import MonicIntPoly, parse_poly
 from .snf import smith_normal_form
 
@@ -83,13 +83,10 @@ def _pair_args(p):
 def _brute_force_args(p):
     _pair_args(p)
     p.add_argument("--json", action="store_true", help="emit canonical JSON")
-    p.add_argument("--cap-brute", type=int, default=BRUTE_FORCE_CAP, metavar="N")
 
 
 def _analyze_args(p):
     _brute_force_args(p)
-    p.add_argument("--cap-residues", type=int, default=RESIDUE_LISTING_CAP, metavar="N")
-    p.add_argument("--cap-divisors", type=int, default=DIVISOR_CAP, metavar="N")
     p.add_argument("--verify", action="store_true", help="cross-check against the Bareiss determinant, gcds mod p and brute force")
 
 
@@ -154,15 +151,8 @@ def _prime_note(p: int) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     # The text report prints every residue listed, at most PREVIEW per
     # divisor, and adds "..." when an entry is truncated.
-    residue_cap = args.cap_residues if args.json else min(args.cap_residues, PREVIEW)
-    outcome = analyze(
-        args.f,
-        args.g,
-        brute_cap=args.cap_brute,
-        residue_cap=residue_cap,
-        divisor_cap=args.cap_divisors,
-        verify=args.verify,
-    )
+    residue_cap = RESIDUE_LISTING_CAP if args.json else PREVIEW
+    outcome = analyze(args.f, args.g, residue_cap=residue_cap, verify=args.verify)
     with _printed("an integer in the answer"):
         if isinstance(outcome, GcdAtlas):
             _report_atlas(outcome, args)
@@ -320,7 +310,7 @@ def _cmd_snf(args: argparse.Namespace) -> int:
 
 
 def _cmd_brute_force(args: argparse.Namespace) -> int:
-    profile = brute_force_profile(args.f, args.g, cap=args.cap_brute)
+    profile = brute_force_profile(args.f, args.g)
     if args.json:
         doc = {
             "modulus": str(profile.modulus),
@@ -375,12 +365,6 @@ def main(argv=None) -> int:
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser(argv).parse_args(argv)
     try:
-        # resultant, snf, witness and period take no caps; brute-force takes
-        # only --cap-brute.
-        for name in ("cap_brute", "cap_residues", "cap_divisors"):
-            cap = getattr(args, name, 1)
-            if cap < 1:
-                raise InputError(f"caps must be positive, got {cap}")
         if "f" in args:  # every subcommand but snf takes the pair --f, --g
             args.f, args.g = _monic(args.f), _monic(args.g)
         _, _, handler = _SUBCOMMANDS[args.subcommand]

@@ -389,16 +389,16 @@ def is_squarefree(fact: Factorization) -> bool:
     return all(e == 1 for _, e in fact.factors)
 
 
-def divisors(fact: Factorization, *, cap: int = DIVISOR_CAP) -> list[int]:
+def divisors(fact: Factorization) -> list[int]:
     """All positive divisors of |n| in ascending order.
 
-    Raises CapExceeded when the divisor count would exceed ``cap``.
+    Raises CapExceeded when the divisor count would exceed DIVISOR_CAP.
     """
     count = 1
     for _, e in fact.factors:
         count *= e + 1
-    if count > cap:
-        raise CapExceeded(f"divisor count {count} exceeds cap {cap}")
+    if count > DIVISOR_CAP:
+        raise CapExceeded(f"divisor count {count} exceeds cap {DIVISOR_CAP}")
     divs = [1]
     for p, e in fact.factors:
         divs = [d * p**i for d in divs for i in range(e + 1)]

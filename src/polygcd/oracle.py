@@ -52,25 +52,23 @@ class BruteForceProfile(NamedTuple):
         )
 
 
-def brute_force_profile(
-    f: MonicIntPoly, g: MonicIntPoly, *, cap: int = BRUTE_FORCE_CAP
-) -> BruteForceProfile:
+def brute_force_profile(f: MonicIntPoly, g: MonicIntPoly) -> BruteForceProfile:
     """Tabulate gcd(f(n), g(n)) for n in [0, |r|).
 
-    Requires a nonzero resultant with |r| <= cap.  The modulus comes from
-    ``resultant(verify=True)``, so it rests on the Bareiss determinant as
-    well as on the PRS that the production path uses.
+    Requires a nonzero resultant with |r| <= BRUTE_FORCE_CAP.  The modulus
+    comes from ``resultant(verify=True)``, so it rests on the Bareiss
+    determinant as well as on the PRS that the production path uses.
     """
     r = resultant(f, g, verify=True)
     if r == 0:
         raise InputError("resultant is zero: the gcd values have no finite period")
     modulus = abs(r)
-    if modulus > cap:
+    if modulus > BRUTE_FORCE_CAP:
         try:
             shown = str(modulus)
         except ValueError:  # more digits than the interpreter prints
             shown = f"of more than {sys.get_int_max_str_digits()} digits"
-        raise CapExceeded(f"period {shown} exceeds the brute-force cap {cap}")
+        raise CapExceeded(f"period {shown} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     values = tuple(math.gcd(f.evaluate(n), g.evaluate(n)) for n in range(modulus))
     return BruteForceProfile(
         modulus=modulus, values=values, histogram=dict(Counter(values))

@@ -11,7 +11,6 @@ from polygcd import (
     BruteForceProfile,
     CapExceeded,
     CriterionInapplicable,
-    DIVISOR_CAP,
     Factorization,
     GcdAtlas,
     GcdProfile,
@@ -33,6 +32,7 @@ import polygcd.analysis
 import polygcd.cli
 import polygcd.linalg
 import polygcd.ntheory
+import polygcd.oracle
 from polygcd.analysis import _closed_form, _coprime_part, _gcd_profile, _lifting_tree
 from polygcd.errors import InputError
 from polygcd.linalg import _subresultant_resultant
@@ -101,11 +101,14 @@ def test_derived_attributes_are_not_stored(cls, name):
     assert hasattr(cls, name)
 
 
-def test_analyze_profile_does_not_read_the_brute_force_cap():
+def test_analyze_profile_does_not_read_the_brute_force_cap(monkeypatch):
     f, g = mp("x^2-1"), mp("x^2+1")
-    outcome = analyze(f, g, brute_cap=2)
+    uncapped = analyze(f, g).profile
+    for module in (polygcd.analysis, polygcd.oracle):
+        monkeypatch.setattr(module, "BRUTE_FORCE_CAP", 2)
+    outcome = analyze(f, g)
     assert isinstance(outcome, NotSquarefree)
-    assert outcome.profile == analyze(f, g).profile
+    assert outcome.profile == uncapped
     assert outcome.profile.histogram == {1: 2, 2: 2}
 
 
@@ -416,9 +419,7 @@ def test_closed_form_tables_match_the_lifting_tree_on_the_acceptance_pool():
         for p, e in factor(r).factors:
             if s1 % p and e >= 2:
                 local = factor(p**e)
-                assert _gcd_profile(f, g, local, p**e, DIVISOR_CAP) == _gcd_profile(
-                    f, g, local, 1, DIVISOR_CAP
-                )
+                assert _gcd_profile(f, g, local, p**e) == _gcd_profile(f, g, local, 1)
                 checked += 1
     assert checked >= 250
 
@@ -632,11 +633,13 @@ def test_profile_of_a_tree_4000_levels_deep():
     assert profile.period == 2**2000
 
 
-def test_profile_refuses_more_values_than_the_divisor_cap():
+def test_profile_refuses_more_values_than_the_divisor_cap(monkeypatch):
     f, g = mp("x^2"), mp("x^2+2^7")
-    assert len(analyze(f, g, divisor_cap=5).profile.histogram) == 5
+    monkeypatch.setattr(polygcd.analysis, "DIVISOR_CAP", 5)
+    assert len(analyze(f, g).profile.histogram) == 5
+    monkeypatch.setattr(polygcd.analysis, "DIVISOR_CAP", 4)
     with pytest.raises(CapExceeded, match="gcd value count 5 exceeds cap 4"):
-        analyze(f, g, divisor_cap=4)
+        analyze(f, g)
 
 
 def test_minimal_period_is_the_profile_period_on_every_not_squarefree_pool_pair():
@@ -843,9 +846,20 @@ def test_not_squarefree_with_applicable_witness():
     assert outcome.profile.gcd_range == (1, 2, 3, 6, 9, 18)
 
 
-def test_analyze_divisor_cap_is_enforced():
-    with pytest.raises(CapExceeded):
-        analyze(mp("x"), mp("x^2+30"), divisor_cap=4)
+def test_analyze_divisor_cap_is_enforced(monkeypatch):
+    monkeypatch.setattr(polygcd.ntheory, "DIVISOR_CAP", 4)
+    with pytest.raises(CapExceeded, match="divisor count 8 exceeds cap 4"):
+        analyze(mp("x"), mp("x^2+30"))
+
+
+@pytest.mark.parametrize("residue_cap", [0, -1])
+def test_analyze_refuses_a_non_positive_residue_cap_at_once(residue_cap):
+    # Unchecked, the atlas entry would walk all |r| / d residues of the
+    # 52-digit prime, never reaching a listing of residue_cap.
+    start = time.perf_counter()
+    with pytest.raises(InputError, match=f"^caps must be positive, got {residue_cap}$"):
+        analyze(mp("x^17+9"), mp("(x+1)^17+9"), residue_cap=residue_cap)
+    assert time.perf_counter() - start < 1
 
 
 def test_analyze_residue_cap_truncates_listings():

@@ -18,6 +18,7 @@ import polygcd.cli
 import polygcd.linalg
 import polygcd.modp
 import polygcd.ntheory
+import polygcd.oracle
 from polygcd import MonicIntPoly, brute_force_profile
 from polygcd.cli import main
 from polygcd.poly import MAX_COEFF_BITS, MAX_DEGREE
@@ -100,7 +101,7 @@ LISTING_PAIRS = [
 ]
 
 
-def oracle_text_report(f_text, g_text, r, cap):
+def oracle_text_report(f_text, g_text, r, preview):
     """The text `analyze` report, built from the brute-force oracle."""
     f, g = MonicIntPoly.parse(f_text), MonicIntPoly.parse(g_text)
     oracle = brute_force_profile(f, g)
@@ -118,12 +119,11 @@ def oracle_text_report(f_text, g_text, r, cap):
         lines.append(f"common root mod {p}: n = {root}")
     lines.append("")
     rows = []
-    shown = min(cap, 16)
     for d, residues in sorted(oracle.residues_by_value().items()):
-        preview = ", ".join(map(str, residues[:shown]))
-        if len(residues) > shown:
-            preview += f", ... ({len(residues)} total)"
-        rows.append((str(d), str(len(residues)), preview))
+        shown = ", ".join(map(str, residues[:preview]))
+        if len(residues) > preview:
+            shown += f", ... ({len(residues)} total)"
+        rows.append((str(d), str(len(residues)), shown))
     w0 = max(len("divisor"), *(len(row[0]) for row in rows))
     w1 = max(len("multiplicity"), *(len(row[1]) for row in rows))
     lines.append(f"{'divisor':>{w0}}  {'multiplicity':>{w1}}  residues mod {abs(r)}")
@@ -131,26 +131,28 @@ def oracle_text_report(f_text, g_text, r, cap):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("cap", [None, 1, 16, 17, 20])
+# The preview is 16; r = 17 has an entry of multiplicity 16, r = -19 of 18.
+@pytest.mark.parametrize("preview", [None, 1, 16, 17, 20])
 @pytest.mark.parametrize("f_text, g_text, r", LISTING_PAIRS)
-def test_text_listing_matches_the_oracle_at_the_preview_boundary(capsys, f_text, g_text, r, cap):
+def test_text_listing_matches_the_oracle_at_the_preview_boundary(
+    capsys, monkeypatch, f_text, g_text, r, preview
+):
+    if preview is not None:
+        monkeypatch.setattr(polygcd.cli, "PREVIEW", preview)
     argv = ["analyze", "--f", f_text, "--g", g_text]
-    if cap is not None:
-        argv += ["--cap-residues", str(cap)]
     for verify in ([], ["--verify"]):
         status, out, err = run_cli(capsys, *argv, *verify)
         assert (status, err) == (0, "")
-        assert out == oracle_text_report(f_text, g_text, r, cap or 10**4)
+        assert out == oracle_text_report(f_text, g_text, r, preview or 16)
 
 
 @pytest.mark.parametrize("cap", [1, 16, 17, 20, 479, 480])
-def test_json_lists_min_of_multiplicity_and_cap(capsys, cap):
+def test_json_lists_min_of_multiplicity_and_cap(capsys, monkeypatch, cap):
     f_text, g_text = "x", "x^2+2310"
     f, g = MonicIntPoly.parse(f_text), MonicIntPoly.parse(g_text)
     by_value = brute_force_profile(f, g).residues_by_value()
-    status, out, _ = run_cli(
-        capsys, "analyze", "--f", f_text, "--g", g_text, "--json", "--cap-residues", str(cap)
-    )
+    monkeypatch.setattr(polygcd.cli, "RESIDUE_LISTING_CAP", cap)
+    status, out, _ = run_cli(capsys, "analyze", "--f", f_text, "--g", g_text, "--json")
     assert status == 0
     entries = json.loads(out)["entries"]
     assert [int(e["divisor"]) for e in entries] == sorted(by_value)
@@ -498,11 +500,11 @@ def test_exit_2_on_brute_force_cap(capsys):
     assert "cap" in err
 
 
-def test_exit_2_on_explicit_tiny_cap(capsys):
-    status, _, err = run_cli(
-        capsys, "brute-force", "--f", "x^2+3", "--g", "(x+1)^2+3", "--cap-brute", "5"
+def test_exit_2_on_explicit_tiny_cap(capsys, monkeypatch):
+    monkeypatch.setattr(polygcd.oracle, "BRUTE_FORCE_CAP", 5)
+    assert run_cli(capsys, "brute-force", "--f", "x^2+3", "--g", "(x+1)^2+3") == (
+        2, "", "error: period 13 exceeds the brute-force cap 5\n"
     )
-    assert status == 2
 
 
 @pytest.mark.parametrize(
@@ -573,21 +575,6 @@ def test_seed_env_var_is_ignored(capsys, monkeypatch, argv):
         assert run_cli(capsys, *argv) == unset
 
 
-@pytest.mark.parametrize(
-    "argv, cap",
-    [
-        (["analyze", "--f", "x", "--g", "x+1", "--cap-brute", "0"], "0"),
-        (["brute-force", "--f", "x", "--g", "x+1", "--cap-brute", "-3"], "-3"),
-        (["analyze", "--f", "x", "--g", "x+1", "--cap-divisors", "-1"], "-1"),
-        (["analyze", "--f", "x", "--g", "x+1", "--cap-residues", "0"], "0"),
-    ],
-)
-def test_non_positive_cap_exits_1(capsys, argv, cap):
-    status, out, err = run_cli(capsys, *argv)
-    assert status == 1 and out == ""
-    assert err == f"error: caps must be positive, got {cap}\n"
-
-
 @pytest.mark.parametrize("flag", ["--cap-residues", "--cap-divisors"])
 def test_brute_force_rejects_the_listing_caps(capsys, flag):
     with pytest.raises(SystemExit) as exc:
@@ -626,18 +613,17 @@ def test_analyze_json_not_squarefree_with_witness(capsys):
     assert doc["witness"] is not None
 
 
-def test_exit_2_on_divisor_cap(capsys):
-    status, _, err = run_cli(
-        capsys, "analyze", "--f", "x", "--g", "x^2+30", "--cap-divisors", "4"
+def test_exit_2_on_divisor_cap(capsys, monkeypatch):
+    monkeypatch.setattr(polygcd.ntheory, "DIVISOR_CAP", 4)
+    assert run_cli(capsys, "analyze", "--f", "x", "--g", "x^2+30") == (
+        2, "", "error: divisor count 8 exceeds cap 4\n"
     )
-    assert status == 2
-    assert "cap" in err
 
 
-def test_cap_residues_flag_truncates(capsys):
+def test_cap_residues_flag_truncates(capsys, monkeypatch):
+    monkeypatch.setattr(polygcd.cli, "RESIDUE_LISTING_CAP", 3)
     status, out, _ = run_cli(
-        capsys,
-        "analyze", "--f", "x^2+3", "--g", "(x+1)^2+3", "--json", "--cap-residues", "3",
+        capsys, "analyze", "--f", "x^2+3", "--g", "(x+1)^2+3", "--json"
     )
     assert status == 0
     doc = json.loads(out)
@@ -859,8 +845,7 @@ def test_integers_at_the_print_limit_still_print(capsys, monkeypatch):
 SUBCOMMANDS = ["analyze", "resultant", "snf", "brute-force", "witness", "period"]
 TOP_USAGE = "usage: polygcd [-h] {analyze,resultant,snf,brute-force,witness,period} ...\n"
 ANALYZE_USAGE = """\
-usage: polygcd analyze [-h] --f EXPR --g EXPR [--json] [--cap-brute N]
-                       [--cap-residues N] [--cap-divisors N] [--verify]
+usage: polygcd analyze [-h] --f EXPR --g EXPR [--json] [--verify]
 """
 PERIOD_USAGE = "usage: polygcd period [-h] --f EXPR --g EXPR\n"
 
@@ -886,15 +871,12 @@ options:
 """, ""),
     (["analyze", "-h"], 0, ANALYZE_USAGE + """
 options:
-  -h, --help        show this help message and exit
-  --f EXPR          first monic polynomial, e.g. 'x^2+3'
-  --g EXPR          second monic polynomial
-  --json            emit canonical JSON
-  --cap-brute N
-  --cap-residues N
-  --cap-divisors N
-  --verify          cross-check against the Bareiss determinant, gcds mod p
-                    and brute force
+  -h, --help  show this help message and exit
+  --f EXPR    first monic polynomial, e.g. 'x^2+3'
+  --g EXPR    second monic polynomial
+  --json      emit canonical JSON
+  --verify    cross-check against the Bareiss determinant, gcds mod p and
+              brute force
 """, ""),
     (["resultant", "-h"], 0, """\
 usage: polygcd resultant [-h] --f EXPR --g EXPR [--verify]
@@ -916,14 +898,13 @@ options:
   --json         emit canonical JSON
 """, ""),
     (["brute-force", "-h"], 0, """\
-usage: polygcd brute-force [-h] --f EXPR --g EXPR [--json] [--cap-brute N]
+usage: polygcd brute-force [-h] --f EXPR --g EXPR [--json]
 
 options:
-  -h, --help     show this help message and exit
-  --f EXPR       first monic polynomial, e.g. 'x^2+3'
-  --g EXPR       second monic polynomial
-  --json         emit canonical JSON
-  --cap-brute N
+  -h, --help  show this help message and exit
+  --f EXPR    first monic polynomial, e.g. 'x^2+3'
+  --g EXPR    second monic polynomial
+  --json      emit canonical JSON
 """, ""),
     (["witness", "-h"], 0, """\
 usage: polygcd witness [-h] --f EXPR --g EXPR
@@ -958,6 +939,19 @@ options:
     (["brute-force", "--f", "x", "--g", "x+1", "--cap-residues", "3"], 1, "", TOP_USAGE + (
         "polygcd: error: unrecognized arguments: --cap-residues 3\n"
     )),
+    # The work caps are constants: the flags that once set them are refused
+    # the same way, whatever their value.
+    *(
+        ([command, "--f", "x", "--g", "x+1", flag, value], 1, "", TOP_USAGE + (
+            f"polygcd: error: unrecognized arguments: {flag} {value}\n"
+        ))
+        for command, flag, value in [
+            ("analyze", "--cap-brute", "0"),
+            ("brute-force", "--cap-brute", "-3"),
+            ("analyze", "--cap-divisors", "-1"),
+            ("analyze", "--cap-residues", "0"),
+        ]
+    ),
 ]
 
 

@@ -7,7 +7,9 @@ from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import polygcd.analysis
 import polygcd.ntheory
+import polygcd.oracle
 from polygcd.cli import main
 
 SUBCOMMANDS = ["analyze", "resultant", "snf", "brute-force", "witness", "period"]
@@ -70,21 +72,19 @@ def matrices(draw):
     return "\n".join(" ".join(row) for row in rows) + "\n"
 
 
-# Caps from -1 to 10, mostly positive.
+# Values for the cap flags, which every subcommand refuses.
 caps = st.sampled_from([str(n) for n in range(1, 11)] + ["0", "-1"])
-# The brute-force oracle scans one period per call, so its cap stays small.
-brute_caps = st.one_of(caps, st.sampled_from(["100", "10000"]))
 
-# The options each subcommand takes, and the values of those that take one.
+# The options each subcommand takes.
 OPTIONS = {
-    "analyze": ["--json", "--verify", "--cap-residues", "--cap-divisors"],
+    "analyze": ["--json", "--verify"],
     "resultant": ["--verify"],
     "snf": ["--json", "--transforms"],
     "brute-force": ["--json"],
     "witness": [],
     "period": [],
 }
-ALL_OPTIONS = ["--json", "--verify", "--transforms", "--cap-residues", "--cap-divisors", "-h"]
+ALL_OPTIONS = ["--json", "--verify", "--transforms", "--cap-brute", "--cap-residues", "--cap-divisors", "-h"]
 
 
 @st.composite
@@ -102,9 +102,6 @@ def command_lines(draw):
         options.add(draw(st.sampled_from(ALL_OPTIONS)))
     for name in sorted(options):
         argv += [name, draw(caps)] if name.startswith("--cap") else [name]
-    # Always cap the oracle where it could run, so that no example scans far.
-    if command in ("analyze", "brute-force"):
-        argv += ["--cap-brute", draw(brute_caps)]
     if command == "snf" and draw(one_in_ten):
         argv += ["--matrix", "/nonexistent/matrix.txt"]
     return argv
@@ -131,8 +128,10 @@ def run(argv, stdin_text):
 )
 @given(command_lines(), matrices())
 def test_every_generated_command_line_answers_or_exits_with_an_error_line(argv, stdin_text):
-    # A small rho budget keeps each example cheap.
-    with mock.patch.object(polygcd.ntheory, "RHO_BUDGET", 10**5):
+    # A small rho budget and brute-force cap keep each example cheap.
+    with mock.patch.object(polygcd.ntheory, "RHO_BUDGET", 10**5), mock.patch.object(
+        polygcd.analysis, "BRUTE_FORCE_CAP", 10**4
+    ), mock.patch.object(polygcd.oracle, "BRUTE_FORCE_CAP", 10**4):
         status, out, err = run(argv, stdin_text)
     assert status in (0, 1, 2), (argv, status, err)
     assert "Traceback" not in err

@@ -364,10 +364,11 @@ def test_divisors_match_trial_enumeration(n):
     assert divisors(factor(n)) == [d for d in range(1, n + 1) if n % d == 0]
 
 
-def test_divisor_cap_enforced():
+def test_divisor_cap_enforced(monkeypatch):
     fact = factor(2**40)
-    with pytest.raises(CapExceeded):
-        divisors(fact, cap=40)
+    monkeypatch.setattr(polygcd.ntheory, "DIVISOR_CAP", 40)
+    with pytest.raises(CapExceeded, match="divisor count 41 exceeds cap 40"):
+        divisors(fact)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from polygcd import (
 )
 import polygcd.cli
 import polygcd.linalg
+import polygcd.oracle
 from polygcd.errors import InputError, InvariantBreach
 
 from support import check_divides, check_periodicity, random_monic
@@ -70,14 +71,15 @@ def test_profile_modulus_rests_on_the_bareiss_determinant(monkeypatch):
         brute_force_profile(mp("x^2+3"), mp("(x+1)^2+3"))
 
 
-def test_profile_rejects_zero_resultant_and_enormous_periods():
+def test_profile_rejects_zero_resultant_and_enormous_periods(monkeypatch):
     p = mp("x^2+x+1")
     with pytest.raises(InputError):
         brute_force_profile(p, p)
     with pytest.raises(CapExceeded):
         brute_force_profile(mp("x^17+9"), mp("(x+1)^17+9"))
-    with pytest.raises(CapExceeded):
-        brute_force_profile(mp("x^2+3"), mp("(x+1)^2+3"), cap=10)
+    monkeypatch.setattr(polygcd.oracle, "BRUTE_FORCE_CAP", 10)
+    with pytest.raises(CapExceeded, match="period 13 exceeds the brute-force cap 10"):
+        brute_force_profile(mp("x^2+3"), mp("(x+1)^2+3"))
 
 
 def test_profile_counts_sum_to_modulus_and_values_divide_r():
