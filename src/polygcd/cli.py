@@ -279,15 +279,20 @@ def _cmd_snf(args: argparse.Namespace) -> int:
             with open(args.matrix, encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            raise InputError(
-                f"cannot read matrix file {args.matrix!r}: {exc.strerror}"
-            ) from None
+            raise InputError(f"cannot read matrix file {args.matrix!r}: {exc.strerror}") from None
     else:
         text = sys.stdin.read()
     rows = [row for row in map(str.split, text.splitlines()) if row]
-    bad = [tok for row in rows for tok in row if not _MATRIX_ENTRY.fullmatch(tok)]
-    if bad:
-        raise InputError(f"invalid literal for int() with base 10: {bad[0]!r}")
+    limit = sys.get_int_max_str_digits()
+    for i, row in enumerate(rows, 1):
+        for j, tok in enumerate(row, 1):
+            if not _MATRIX_ENTRY.fullmatch(tok):
+                raise InputError(f"invalid literal for int() with base 10: {tok!r}")
+            if limit and len(tok.lstrip("+-")) > limit:
+                raise CapExceeded(
+                    f"matrix entry at row {i}, column {j} has more than {limit} digits,"
+                    " the interpreter's limit for reading an integer"
+                )
     if not rows:
         raise InputError("empty matrix input")
     matrix = IntMatrix.from_rows([[int(tok) for tok in row] for row in rows])

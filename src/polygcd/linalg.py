@@ -8,9 +8,10 @@ sequence (``resultant_prs``), which needs no matrix; under ``verify`` it
 also evaluates the determinant with fraction-free Bareiss elimination
 (``det_bareiss``), a structurally independent value to cross-check against.
 Past the monic f block, Bareiss takes four columns per pass while six or
-more remain, so each entry costs one exact division per four columns; where
-the 4x4 pivot block is singular, and once fewer than six columns remain,
-it steps one column at a time.
+more remain, so each entry costs one exact division per four columns.  It
+steps one column at a time where the 4x4 pivot block is singular, once fewer
+than six columns remain, and in the f block, where a step skips the rows
+that are 0 in its column.
 The same walk of the sequence yields the first subresultant S_1, from which
 the atlas reads its generator.
 """
@@ -109,18 +110,15 @@ def det_bareiss(matrix: IntMatrix) -> int:
     Otherwise, and when that block is singular, a one-column step makes
     each row below, with x its entry in column k, (pk*a - x*p) / prev over
     its tail, p the pivot row; with pk == prev (the monic f block of a
-    Sylvester matrix) it touches only the columns where p is nonzero.  A
-    column with no pivot makes the determinant 0, and the last pivot is
-    the determinant.  A row whose pivot-column entries are all 0 is not
-    touched: it keeps the pivot it was last brought up to date at (its
-    base) and is rescaled by prev/base when it is next used.  Every
-    division checks its remainder.
+    Sylvester matrix) it touches only the columns where p is nonzero and
+    skips the rows with x = 0, which it leaves as they are (any other step
+    rescales them).  A column with no pivot makes the determinant 0, the
+    last pivot is the determinant, and every division checks its remainder.
     """
     if matrix.rows != matrix.cols:
         raise InputError("determinant needs a square matrix")
     n = matrix.rows
     a = matrix.to_rows()
-    base = [1] * n
     sign = 1
     prev = 1
     k = 0
@@ -130,39 +128,36 @@ def det_bareiss(matrix: IntMatrix) -> int:
             return 0
         if pivot_row != k:
             a[k], a[pivot_row] = a[pivot_row], a[k]
-            base[k], base[pivot_row] = base[pivot_row], base[k]
             sign = -sign
-        row_k = _rescale(a, base, k, k, prev)
+        row_k = a[k]
         pk = row_k[k]
         if pk != prev and n - k >= 6:
-            c0 = _four_columns(a, base, k, prev)
+            c0 = _four_columns(a, k, prev)
             if c0:
                 prev = c0
                 k += 4
                 continue
         columns = range(k + 1, n) if pk != prev else [j for j in range(k + 1, n) if row_k[j]]
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            row_i = _rescale(a, base, i, k, prev)
+        for row_i in a[k + 1 :]:
             aik = row_i[k]
+            if aik == 0 and pk == prev:
+                continue
             for j in columns:
                 row_i[j] = _exact_div(row_i[j] * pk - aik * row_k[j], prev)
             row_i[k] = 0
-            base[i] = pk
         prev = pk
         k += 1
     return sign * prev  # k == n: the last step's pivot is the determinant
 
 
-def _four_columns(a: list[list[int]], base: list[int], k: int, prev: int) -> int:
-    # Bareiss's four-step pass over columns k..k+3, pivot rows k..k+3 (all
-    # brought to prev).  Returns the new pivot c0 = det(block) / prev^3, or 0
-    # when the block is singular, touching no lower row.  cof[t] holds the
-    # cofactors of the block's row t over prev^2 (its 3x3 minors are
-    # multiples of prev^2), so u_t = x . cof[t] / prev is exact for every
-    # lower row x: it is det(block with row t replaced by x) / prev^3.
-    block = [_rescale(a, base, r, k, prev)[k : k + 4] for r in range(k, k + 4)]
+def _four_columns(a: list[list[int]], k: int, prev: int) -> int:
+    # Bareiss's four-step pass over columns k..k+3, pivot rows k..k+3.
+    # Returns the new pivot c0 = det(block) / prev^3, or 0 when the block is
+    # singular, touching no lower row.  cof[t] holds the cofactors of the
+    # block's row t over prev^2 (its 3x3 minors are multiples of prev^2), so
+    # u_t = x . cof[t] / prev is exact for every lower row x: it is
+    # det(block with row t replaced by x) / prev^3.
+    block = [row[k : k + 4] for row in a[k : k + 4]]
     cof = []
     for t in range(4):
         others = block[:t] + block[t + 1 :]
@@ -171,11 +166,8 @@ def _four_columns(a: list[list[int]], base: list[int], k: int, prev: int) -> int
     c0 = _exact_div(sum(map(operator.mul, block[0], cof[0])), prev)
     if c0 == 0:
         return 0
-    tails = [a[r][k + 4 :] for r in range(k, k + 4)]
-    for i in range(k + 4, len(a)):
-        if not any(a[i][k : k + 4]):
-            continue
-        row_i = _rescale(a, base, i, k, prev)
+    tails = [row[k + 4 :] for row in a[k : k + 4]]
+    for row_i in a[k + 4 :]:
         x = row_i[k : k + 4]
         u0, u1, u2, u3 = (_exact_div(sum(map(operator.mul, x, c)), prev) for c in cof)
         tail = zip(row_i[k + 4 :], *tails)
@@ -183,21 +175,12 @@ def _four_columns(a: list[list[int]], base: list[int], k: int, prev: int) -> int
             (c0 * y - u0 * p0 - u1 * p1 - u2 * p2 - u3 * p3 for y, p0, p1, p2, p3 in tail), prev
         )
         row_i[k : k + 4] = [0] * 4
-        base[i] = c0
     return c0
 
 
 def _det3(m: list[list[int]]) -> int:
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _rescale(a: list[list[int]], base: list[int], i: int, k: int, prev: int) -> list[int]:
-    # Bring row i, whose columns before k are 0, from pivot base[i] to prev.
-    if base[i] != prev:
-        a[i][k:] = _exact_quotients((x * prev for x in a[i][k:]), base[i])
-        base[i] = prev
-    return a[i]
 
 
 def resultant(f: IntPoly, g: IntPoly, *, verify: bool = False) -> int:

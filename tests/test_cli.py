@@ -802,6 +802,29 @@ def test_integer_literal_too_long_to_read_exits_2(capsys):
     )
 
 
+def test_snf_entry_too_long_to_read_exits_2(capsys, monkeypatch, tmp_path):
+    # The sign is not a digit: entry (1, 1) has LIMIT digits and would read.
+    text = f"-{'7' * LIMIT} 0\n0 {'7' * (LIMIT + 1)}\n"
+    expected = (
+        2,
+        "",
+        f"error: matrix entry at row 2, column 2 has more than {LIMIT} digits,"
+        " the interpreter's limit for reading an integer\n",
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run_cli(capsys, "snf") == expected
+    path = tmp_path / "matrix.txt"
+    path.write_text(text)
+    assert run_cli(capsys, "snf", "--matrix", str(path)) == expected
+    # A limit of 0 reads and prints integers of any length.
+    sys.set_int_max_str_digits(0)
+    try:
+        lcm = int("7" * LIMIT) * int("7" * (LIMIT + 1)) // 7
+        assert run_cli(capsys, "snf", "--matrix", str(path)) == (0, f"d = 7 {lcm}\n", "")
+    finally:
+        sys.set_int_max_str_digits(LIMIT)
+
+
 def test_not_monic_names_a_leading_coefficient_too_long_to_print_by_its_digits(capsys):
     # 2^16000 has 4817 digits.
     assert run_cli(capsys, "analyze", "--f", "2^16000*x+1", "--g", "x") == (

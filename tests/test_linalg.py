@@ -312,8 +312,8 @@ def _two_singular_pivot_blocks(rng, n):
     # runs; unless another minor is 0 by chance (5 of the 150 draws), a
     # four-column pass takes columns m+1..m+4, the block is singular at
     # pass m+5, and another four-column pass follows.  The last row is 0 in
-    # columns m..m+5, so no pass touches it before the four-column pass at
-    # m+6, which rescales it across the three passes before.
+    # columns m..m+5, so each of the three passes before the one at m+6
+    # only rescales it to its new pivot, as it goes.
     n = max(n, 6) + 6
     m = rng.randrange(n - 11)
     rows = _unit_pivots_then(rng, n, m)
