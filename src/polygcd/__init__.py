@@ -8,7 +8,6 @@ from .analysis import (
     AnalysisOutcome,
     AtlasEntry,
     GcdAtlas,
-    GcdProfile,
     NotSquarefree,
     ZeroResultant,
     analyze,
@@ -52,7 +51,6 @@ __all__ = [
     "DIVISOR_CAP",
     "Factorization",
     "GcdAtlas",
-    "GcdProfile",
     "InputError",
     "IntMatrix",
     "IntPoly",

@@ -11,19 +11,19 @@ Square-free r makes s1 a unit mod r, so gcd(f(n), g(n)) = gcd(n - c, |r|):
 the residues realizing d are the n = c mod d with gcd((n - c)/d, |r|/d) = 1.
 
 Otherwise ``analyze`` reports what it can: a zero resultant comes back with
-the common factor in Z[x]; a non-square-free one with an n realizing gcd 1,
-or the prime that rules one out, found from gcds with the parts of r (as
-``coprime_witness`` finds it without factoring r), and an exact profile of
-one period for any r that ``factor`` splits.  The profile convolves one
-local table per p^e, the closed form of gcd(n - c, p^e) when p does not
-divide s1 and a tree of classes a mod p^j, of at most min(deg f, deg g) * e
-nodes, when it does; its minimal period is the product of the local ones.
-Those of the closed form multiply to R_1, the largest divisor of |r| coprime
-to s1, so ``minimal_period`` factors only |r| / R_1.  Under ``verify`` one
-pass after the outcome is built checks r against the Bareiss determinant,
-each c mod p against the common root of a gcd in F_p[x], and, when |r| is
-within BRUTE_FORCE_CAP, the atlas or the profile and the witness verdict
-against the brute-force oracle.
+the common factor in Z[x]; a non-square-free one, for any r that ``factor``
+splits, as a ``NotSquarefree``: the exact histogram of the values over one
+period, their minimal period, and an n realizing gcd 1 or the prime that rules
+one out (found from gcds with the parts of r, as ``coprime_witness`` finds it
+without factoring r).  The histogram convolves one local table per p^e, the
+closed form of gcd(n - c, p^e) when p does not divide s1 and a tree of classes
+a mod p^j, of at most min(deg f, deg g) * e nodes, when it does; the minimal
+period is the product of the local ones.  Those of the closed form multiply to
+R_1, the largest divisor of |r| coprime to s1, so ``minimal_period`` factors
+only |r| / R_1.  Under ``verify`` one pass after the outcome is built checks r
+against the Bareiss determinant, each c mod p against the common root of a gcd
+in F_p[x], and, when |r| is within BRUTE_FORCE_CAP, the atlas or the
+histogram, period and witness verdict against the brute-force oracle.
 """
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ __all__ = [
     "RESIDUE_LISTING_CAP",
     "AtlasEntry",
     "GcdAtlas",
-    "GcdProfile",
     "ZeroResultant",
     "NotSquarefree",
     "AnalysisOutcome",
@@ -103,37 +102,29 @@ class ZeroResultant(NamedTuple):
     sample_values: tuple[int, ...]
 
 
-class GcdProfile(NamedTuple):
-    """The gcd values over one period [0, |r|), without the values.
-
-    ``histogram`` maps each value gcd(f(n), g(n)) to the number of n in the
-    period realizing it, in ascending order of value; ``gcd_range`` is its
-    keys and ``period`` the smallest positive period of the values.
-    """
-
-    histogram: dict[int, int]
-    period: int
-
-    @property
-    def gcd_range(self) -> tuple[int, ...]:
-        return tuple(self.histogram)
-
-
 class NotSquarefree(NamedTuple):
     """r != 0 but not square-free: no atlas, but an exact profile.
 
+    ``histogram`` maps each value gcd(f(n), g(n)) to the number of n in one
+    period [0, |r|) realizing it, in ascending order of value; ``gcd_range``
+    is its keys and ``period`` the smallest positive period of the values.
     ``witness`` is an n with gcd(f(n), g(n)) = 1, or None when none exists;
     then ``common_prime`` is the smallest prime dividing every value.
     """
 
     factorization: Factorization
-    profile: GcdProfile
+    histogram: dict[int, int]
+    period: int
     witness: int | None
     common_prime: int | None
 
     @property
     def resultant(self) -> int:
         return self.factorization.n
+
+    @property
+    def gcd_range(self) -> tuple[int, ...]:
+        return tuple(self.histogram)
 
     @property
     def witness_applicable(self) -> bool:
@@ -177,8 +168,8 @@ def analyze(
                 p if p < _TRIAL_DIVISION_BOUND else p**e for p, e in fact.factors
             )
             witness, common_prime = _place_witness(f, g, r, unplaced)
-            profile = _gcd_profile(f, g, fact, coprime)
-            outcome = NotSquarefree(fact, profile, witness, common_prime)
+            histogram, period = _gcd_profile(f, g, fact, coprime)
+            outcome = NotSquarefree(fact, histogram, period, witness, common_prime)
     if verify:
         _verify(f, g, r, outcome)
     return outcome
@@ -214,12 +205,11 @@ def _verify(f: MonicIntPoly, g: MonicIntPoly, r: int, outcome: AnalysisOutcome):
                     f"listed residues for divisor {entry.divisor} disagree with the oracle"
                 )
         return
-    profile = outcome.profile
-    if (profile.histogram, profile.gcd_range) != (oracle.histogram, oracle.gcd_range):
+    if (outcome.histogram, outcome.gcd_range) != (oracle.histogram, oracle.gcd_range):
         raise InvariantBreach("the gcd profile disagrees with the brute-force oracle")
-    if profile.period != oracle.minimal_period():
+    if outcome.period != oracle.minimal_period():
         raise InvariantBreach(
-            f"minimal period {profile.period} disagrees with the brute-force oracle"
+            f"minimal period {outcome.period} disagrees with the brute-force oracle"
         )
     # A witness exactly when 1 is a value; without one, the prime divides every value.
     if outcome.witness is not None:
@@ -273,7 +263,7 @@ def _atlas_entry(
     return AtlasEntry(d, multiplicity, tuple(residues))
 
 
-def _gcd_profile(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization, coprime: int) -> GcdProfile:
+def _gcd_profile(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization, coprime: int) -> tuple[dict[int, int], int]:
     # The p-parts of gcd(f(n), g(n)) for the different primes p | r are
     # independent by CRT, so the value histogram is the multiplicative
     # convolution of the local histograms (their keys are coprime, so no two
@@ -294,7 +284,7 @@ def _gcd_profile(f: MonicIntPoly, g: MonicIntPoly, fact: Factorization, coprime:
         histogram = {
             a * b: ca * cb for a, ca in histogram.items() for b, cb in local.items()
         }
-    return GcdProfile(dict(sorted(histogram.items())), math.prod(periods))
+    return dict(sorted(histogram.items())), math.prod(periods)
 
 
 def _lifting_tree(f: MonicIntPoly, g: MonicIntPoly, p: int, e: int) -> tuple[dict[int, int], int]:

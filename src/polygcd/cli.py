@@ -243,8 +243,8 @@ def _report_not_squarefree(outcome: NotSquarefree, args: argparse.Namespace) -> 
             "factorization": [
                 [str(p), str(e)] for p, e in outcome.factorization.factors
             ],
-            "range": [str(v) for v in outcome.profile.gcd_range],
-            "histogram": {str(v): str(c) for v, c in outcome.profile.histogram.items()},
+            "range": [str(v) for v in outcome.gcd_range],
+            "histogram": {str(v): str(c) for v, c in outcome.histogram.items()},
             "witness": str(outcome.witness) if outcome.witness is not None else None,
             "witness_applicable": outcome.witness_applicable,
         }
@@ -254,11 +254,11 @@ def _report_not_squarefree(outcome: NotSquarefree, args: argparse.Namespace) -> 
     print(f"g = {args.g}")
     print(f"resultant = {outcome.resultant} = {_format_factorization(outcome.factorization)}")
     print("square-free: no (the complete divisor map is only available for square-free resultants)")
-    values = ", ".join(str(v) for v in outcome.profile.gcd_range)
+    values = ", ".join(str(v) for v in outcome.gcd_range)
     print(f"empirical gcd range over one period of {abs(outcome.resultant)}: {{{values}}}")
-    histogram = ", ".join(f"{v}: {c}" for v, c in outcome.profile.histogram.items())
+    histogram = ", ".join(f"{v}: {c}" for v, c in outcome.histogram.items())
     print(f"gcd value counts: {histogram}")
-    print(f"minimal period: {outcome.profile.period}")
+    print(f"minimal period: {outcome.period}")
     if outcome.witness_applicable:
         print(f"coprime witness: n = {outcome.witness}")
     else:

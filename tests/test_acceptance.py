@@ -115,8 +115,8 @@ def test_criterion_4_non_squarefree_range_and_period():
         outcome = analyze(f, g)
         assert isinstance(outcome, NotSquarefree)
         assert outcome.resultant == 4
-        assert outcome.profile is not None
-        assert outcome.profile.gcd_range == (1, 2)
+        assert outcome.period == 2
+        assert outcome.gcd_range == (1, 2)
         assert minimal_period(f, g) == 2
 
 

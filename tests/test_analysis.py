@@ -13,7 +13,6 @@ from polygcd import (
     CriterionInapplicable,
     Factorization,
     GcdAtlas,
-    GcdProfile,
     IntPoly,
     InvariantBreach,
     MonicIntPoly,
@@ -62,6 +61,8 @@ def test_analyze_atlas_branch_prime_resultant():
     assert outcome.multiplicity_histogram() == {1: 12, 13: 1}
     assert outcome.entry_for(13).residues == (6,)
     assert outcome.entry_for(1).residues == tuple(n for n in range(13) if n != 6)
+    with pytest.raises(KeyError):
+        outcome.entry_for(2)
 
 
 def test_analyze_zero_resultant_branch():
@@ -75,8 +76,8 @@ def test_analyze_not_squarefree_branch():
     outcome = analyze(mp("x^2-1"), mp("x^2+1"))
     assert isinstance(outcome, NotSquarefree)
     assert outcome.resultant == 4
-    assert outcome.profile is not None
-    assert outcome.profile.gcd_range == (1, 2)
+    assert outcome.period == 2
+    assert outcome.gcd_range == (1, 2)
     # 2^2 divides r, yet gcd(f(0), g(0)) = gcd(-1, 1) = 1
     assert outcome.witness_applicable
     assert outcome.witness == 0 and outcome.common_prime is None
@@ -88,7 +89,7 @@ def test_analyze_not_squarefree_branch():
         (GcdAtlas, "squarefree"),
         (GcdAtlas, "resultant"),
         (AtlasEntry, "truncated"),
-        (GcdProfile, "gcd_range"),
+        (NotSquarefree, "gcd_range"),
         (NotSquarefree, "witness_applicable"),
         (NotSquarefree, "resultant"),
         (BruteForceProfile, "gcd_range"),
@@ -103,13 +104,13 @@ def test_derived_attributes_are_not_stored(cls, name):
 
 def test_analyze_profile_does_not_read_the_brute_force_cap(monkeypatch):
     f, g = mp("x^2-1"), mp("x^2+1")
-    uncapped = analyze(f, g).profile
+    uncapped = analyze(f, g)
     for module in (polygcd.analysis, polygcd.oracle):
         monkeypatch.setattr(module, "BRUTE_FORCE_CAP", 2)
     outcome = analyze(f, g)
     assert isinstance(outcome, NotSquarefree)
-    assert outcome.profile == uncapped
-    assert outcome.profile.histogram == {1: 2, 2: 2}
+    assert outcome == uncapped
+    assert outcome.histogram == {1: 2, 2: 2}
 
 
 def test_analyze_atlas_json_schema(capsys):
@@ -363,12 +364,12 @@ def test_minimal_period_divides_r_and_is_a_true_period():
 # ---------------------------------------------------------------------------
 
 
-def assert_profile_matches_brute_force(f, g, profile):
+def assert_profile_matches_brute_force(f, g, outcome):
     oracle = brute_force_profile(f, g)
-    assert sum(profile.histogram.values()) == oracle.modulus
-    assert profile.histogram == oracle.histogram
-    assert profile.gcd_range == oracle.gcd_range
-    assert profile.period == minimal_period(f, g) == oracle.minimal_period()
+    assert sum(outcome.histogram.values()) == oracle.modulus
+    assert outcome.histogram == oracle.histogram
+    assert outcome.gcd_range == oracle.gcd_range
+    assert outcome.period == minimal_period(f, g) == oracle.minimal_period()
 
 
 @pytest.mark.parametrize(
@@ -391,10 +392,10 @@ def test_not_squarefree_profile_worked_cases(f_text, g_text, r, histogram, perio
     outcome = analyze(f, g)
     assert isinstance(outcome, NotSquarefree)
     assert outcome.resultant == r
-    assert outcome.profile.histogram == histogram
-    assert outcome.profile.gcd_range == tuple(sorted(histogram))
-    assert outcome.profile.period == period
-    assert_profile_matches_brute_force(f, g, outcome.profile)
+    assert outcome.histogram == histogram
+    assert outcome.gcd_range == tuple(sorted(histogram))
+    assert outcome.period == period
+    assert_profile_matches_brute_force(f, g, outcome)
 
 
 def test_not_squarefree_profile_agrees_with_brute_force_on_the_acceptance_pool():
@@ -404,7 +405,7 @@ def test_not_squarefree_profile_agrees_with_brute_force_on_the_acceptance_pool()
             continue
         outcome = analyze(f, g)
         assert isinstance(outcome, NotSquarefree)
-        assert_profile_matches_brute_force(f, g, outcome.profile)
+        assert_profile_matches_brute_force(f, g, outcome)
         checked += 1
     assert checked >= 300
 
@@ -428,15 +429,52 @@ def test_analyze_verify_cross_checks_the_not_squarefree_profile(monkeypatch):
     f, g = mp("x^2"), mp("x^2+2^7")
     outcome = analyze(f, g, verify=True)
     assert isinstance(outcome, NotSquarefree)
-    assert outcome.profile.period == 16
+    assert outcome.period == 16
 
     def tree_with_wrong_period(f, g, p, e):
         histogram, period = _lifting_tree(f, g, p, e)
         return histogram, period * p
 
     monkeypatch.setattr(polygcd.analysis, "_lifting_tree", tree_with_wrong_period)
-    assert analyze(f, g).profile.period == 32
+    assert analyze(f, g).period == 32
     with pytest.raises(InvariantBreach):
+        analyze(f, g, verify=True)
+
+
+def test_analyze_verify_cross_checks_the_not_squarefree_histogram(monkeypatch):
+    # The same values and period, but the counts of r = 4's two values moved.
+    f, g = mp("x^2-1"), mp("x^2+1")
+    analyze(f, g, verify=True)
+
+    def profile_with_wrong_counts(*args):
+        histogram, period = _gcd_profile(*args)
+        assert histogram == {1: 2, 2: 2}
+        return {1: 3, 2: 1}, period
+
+    monkeypatch.setattr(polygcd.analysis, "_gcd_profile", profile_with_wrong_counts)
+    assert analyze(f, g).histogram == {1: 3, 2: 1}
+    with pytest.raises(InvariantBreach, match="the gcd profile disagrees with the brute-force oracle"):
+        analyze(f, g, verify=True)
+
+
+def test_analyze_verify_cross_checks_the_atlas_multiplicities(monkeypatch):
+    # r = 13: swapping the multiplicities of the divisors 1 and 13 keeps
+    # their residues, so only the multiplicity check sees it.
+    build = polygcd.analysis.build_atlas
+
+    def swapped(*args, **kwargs):
+        atlas = build(*args, **kwargs)
+        ones, thirteen = atlas.entries
+        return atlas._replace(entries=(
+            ones._replace(multiplicity=thirteen.multiplicity),
+            thirteen._replace(multiplicity=ones.multiplicity),
+        ))
+
+    f, g = mp("x^2+3"), mp("(x+1)^2+3")
+    analyze(f, g, verify=True)
+    monkeypatch.setattr(polygcd.analysis, "build_atlas", swapped)
+    assert analyze(f, g).multiplicity_histogram() == {1: 1, 13: 12}
+    with pytest.raises(InvariantBreach, match="atlas multiplicities disagree with the brute-force oracle"):
         analyze(f, g, verify=True)
 
 
@@ -606,8 +644,8 @@ def test_lifting_tree_matches_the_naive_oracle_where_every_t_is_a_root(p, e):
 )
 def test_lifting_tree_worked_cases(f_text, g_text, histogram, period):
     f, g = mp(f_text), mp(g_text)
-    profile = analyze(f, g).profile
-    assert (profile.histogram, profile.period) == (histogram, period)
+    outcome = analyze(f, g)
+    assert (outcome.histogram, outcome.period) == (histogram, period)
     assert minimal_period(f, g) == period
 
 
@@ -617,26 +655,26 @@ def test_profile_above_the_brute_force_cap_is_the_closed_form(p):
     # 0 mod p, p^3 on 0 mod p^2.
     f, g = mp("x^2"), mp(f"x^2+{p}^3")
     start = time.perf_counter()
-    profile = analyze(f, g).profile
-    assert minimal_period(f, g) == profile.period == p**2
+    outcome = analyze(f, g)
+    assert minimal_period(f, g) == outcome.period == p**2
     assert time.perf_counter() - start < 1
-    assert profile.histogram == {1: p**6 - p**5, p**2: p**5 - p**4, p**3: p**4}
+    assert outcome.histogram == {1: p**6 - p**5, p**2: p**5 - p**4, p**3: p**4}
 
 
 def test_profile_of_a_tree_4000_levels_deep():
     # gcd(n^2, 2^4000) is 4^v for n = 2^v * odd with v < 2000, else 2^4000.
     start = time.perf_counter()
-    profile = analyze(mp("x^2"), mp("x^2+2^4000")).profile
+    outcome = analyze(mp("x^2"), mp("x^2+2^4000"))
     assert time.perf_counter() - start < 2
     expected = {4**v: 2 ** (7999 - v) for v in range(2000)}
-    assert profile.histogram == {**expected, 2**4000: 2**6000}
-    assert profile.period == 2**2000
+    assert outcome.histogram == {**expected, 2**4000: 2**6000}
+    assert outcome.period == 2**2000
 
 
 def test_profile_refuses_more_values_than_the_divisor_cap(monkeypatch):
     f, g = mp("x^2"), mp("x^2+2^7")
     monkeypatch.setattr(polygcd.analysis, "DIVISOR_CAP", 5)
-    assert len(analyze(f, g).profile.histogram) == 5
+    assert len(analyze(f, g).histogram) == 5
     monkeypatch.setattr(polygcd.analysis, "DIVISOR_CAP", 4)
     with pytest.raises(CapExceeded, match="gcd value count 5 exceeds cap 4"):
         analyze(f, g)
@@ -647,7 +685,7 @@ def test_minimal_period_is_the_profile_period_on_every_not_squarefree_pool_pair(
     for f, g, r in acceptance_pair_pool():
         if r == 0 or is_squarefree(factor(r)):
             continue
-        assert minimal_period(f, g) == analyze(f, g).profile.period, (f, g)
+        assert minimal_period(f, g) == analyze(f, g).period, (f, g)
         checked += 1
     assert checked >= 500
 
@@ -843,7 +881,7 @@ def test_not_squarefree_with_applicable_witness():
     assert outcome.witness_applicable
     assert outcome.witness is not None
     assert math.gcd(f.evaluate(outcome.witness), g.evaluate(outcome.witness)) == 1
-    assert outcome.profile.gcd_range == (1, 2, 3, 6, 9, 18)
+    assert outcome.gcd_range == (1, 2, 3, 6, 9, 18)
 
 
 def test_analyze_divisor_cap_is_enforced(monkeypatch):

@@ -375,6 +375,16 @@ def test_snf_unreadable_matrix_file_exits_1(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text", ["", " \n\t\n"])
+def test_snf_rejects_empty_input(capsys, monkeypatch, tmp_path, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    path = tmp_path / "blank.txt"
+    path.write_text(text)
+    for argv in ("snf",), ("snf", "--matrix", str(path)):
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, out, err) == (1, "", "error: empty matrix input\n"), argv
+
+
 def test_snf_rejects_ragged_matrix(capsys, monkeypatch):
     import io
 

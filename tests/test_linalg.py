@@ -44,6 +44,9 @@ def test_matrix_validation():
         IntMatrix(0, 1, ())
     with pytest.raises(InputError):
         IntMatrix.from_rows([[1, 2], [3]])
+    for empty in [], [[]]:
+        with pytest.raises(InputError, match="at least one row and one column"):
+            IntMatrix.from_rows(empty)
 
 
 @pytest.mark.parametrize("bad", [1.9, 1.0, "1", Fraction(1), Fraction(3, 2)])

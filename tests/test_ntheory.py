@@ -380,11 +380,15 @@ def test_crt_worked_examples():
     assert crt([(1, 2), (2, 3)]) == (5, 6)
     assert crt([(6, 13)]) == (6, 13)
     assert crt([(0, 3), (1, 5), (2, 7)]) == (51, 105)
+    # A modulus of 1 constrains nothing and is skipped.
+    assert crt([(0, 1), (2, 3)]) == (2, 3)
 
 
 def test_crt_rejects_non_coprime_moduli():
     with pytest.raises(InputError):
         crt([(1, 6), (2, 4)])
+    with pytest.raises(InputError, match="modulus must be >= 1, got 0"):
+        crt([(0, 0)])
 
 
 def test_crt_exhaustive_for_small_modulus_products():

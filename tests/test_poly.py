@@ -129,6 +129,8 @@ def test_leading_zeros_are_normalized():
     assert IntPoly((0, 0, 1, 2)).coeffs == (1, 2)
     assert IntPoly((0, 0)).coeffs == ()
     assert IntPoly(()).is_zero()
+    with pytest.raises(InputError, match="the zero polynomial has no leading coefficient"):
+        IntPoly(()).leading
 
 
 @pytest.mark.parametrize("bad", [3.99, 3.0, "3", Fraction(3), Fraction(7, 2)])

@@ -18,7 +18,6 @@ from polygcd import (
     BruteForceProfile,
     Factorization,
     GcdAtlas,
-    GcdProfile,
     IntMatrix,
     IntPoly,
     MonicIntPoly,
@@ -43,12 +42,11 @@ VALUES = [
         (Factorization(13, ((13, 1),)), {13: 6}, (AtlasEntry(13, 1, (5,)),)),
     ),
     (ZeroResultant, ("common_factor", "sample_values"), (F, (3, 4)), (G, (3, 4))),
-    (GcdProfile, ("histogram", "period"), ({1: 8, 3: 4}, 6), ({1: 8, 3: 4}, 12)),
     (
         NotSquarefree,
-        ("factorization", "profile", "witness", "common_prime"),
-        (FACT, None, 0, None),
-        (FACT, None, None, 2),
+        ("factorization", "histogram", "period", "witness", "common_prime"),
+        (FACT, {1: 8, 3: 4}, 6, 0, None),
+        (FACT, {1: 8, 3: 4}, 12, None, 2),
     ),
     (BruteForceProfile, ("modulus", "values", "histogram"), (2, (1, 2), {1: 1, 2: 1}), (2, (2, 1), {1: 1, 2: 1})),
     (SnfResult, ("d", "U", "V"), ((1, 1), I2, I2), ((1, 2), I2, I2)),
