@@ -274,7 +274,7 @@ def _cmd_resultant(args: argparse.Namespace) -> int:
 
 
 def _cmd_snf(args: argparse.Namespace) -> int:
-    if args.matrix:
+    if args.matrix is not None:
         try:
             with open(args.matrix, encoding="utf-8") as handle:
                 text = handle.read()

@@ -4,6 +4,15 @@ The CLI maps these onto exit codes: input problems exit 1, cap overruns
 exit 2, internal invariant breaches exit 3.
 """
 
+__all__ = [
+    "PolyGcdError",
+    "ParseError",
+    "InputError",
+    "CapExceeded",
+    "CriterionInapplicable",
+    "InvariantBreach",
+]
+
 
 class PolyGcdError(Exception):
     """Base class for all package errors."""

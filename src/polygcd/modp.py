@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .ntheory import is_prime
-from .poly import MonicIntPoly
+from .poly import MonicIntPoly, _add, _mul
 
 __all__ = ["common_root_mod_p"]
 
@@ -44,13 +44,13 @@ def _common_roots_mod_p(a, b, p: int) -> list[int]:
     h = _gcd_mod_p(a, b, p)
     if len(h) > p:
         return [t for t in range(p) if _divmod_mod_p(h, [1, -t], p)[1][-1] == 0]
-    pending, roots, c = [_gcd_mod_p(h, _minus(_pow_mod(0, p, h, p), [1, 0]), p)], [], 0
+    pending, roots, c = [_gcd_mod_p(h, _add(_pow_mod(0, p, h, p), [-1, 0]), p)], [], 0
     while pending:
         h = pending.pop()
         if len(h) == 2:
             roots.append(-h[1] % p)
         elif len(h) > 2:
-            d = _gcd_mod_p(h, _minus(_pow_mod(c, (p - 1) // 2, h, p), [1]), p)
+            d = _gcd_mod_p(h, _add(_pow_mod(c, (p - 1) // 2, h, p), [-1]), p)
             pending += [d, _divmod_mod_p(h, d, p)[0]] if 1 < len(d) < len(h) else [h]
             c += 1
     return sorted(roots)
@@ -79,16 +79,8 @@ def _pow_mod(c: int, n: int, h: list[int], p: int) -> list[int]:
     # (x + c)^n mod the monic h in F_p[x], by squaring.
     out = [1]
     for bit in bin(n)[2:]:
-        square = [0] * (2 * len(out) - 1)
-        for i, u in enumerate(out):
-            for j, v in enumerate(out):
-                square[i + j] += u * v
-        if bit == "1":  # times x + c
-            square = [u + c * v for u, v in zip([*square, 0], [0, *square])]
-        out = _divmod_mod_p(square, h, p)[1]
+        out = _mul(out, out)
+        if bit == "1":
+            out = _mul(out, [1, c])
+        out = _divmod_mod_p(out, h, p)[1]
     return out
-
-
-def _minus(a: list[int], b: list[int]) -> list[int]:
-    # a - b, aligned at the constant term, with leading zeros.
-    return [u - v for u, v in zip([0] * len(b) + a, [0] * len(a) + b)]

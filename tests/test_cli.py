@@ -368,11 +368,15 @@ def test_snf_from_file_with_transforms_json(capsys, tmp_path):
     assert len(doc["U"]) == 2 and len(doc["V"]) == 2
 
 
-def test_snf_unreadable_matrix_file_exits_1(capsys, tmp_path):
-    status, out, err = run_cli(capsys, "snf", "--matrix", str(tmp_path / "missing.txt"))
-    assert status == 1 and out == ""
-    assert err.startswith("error: cannot read matrix file")
-    assert len(err.splitlines()) == 1
+def test_snf_unreadable_matrix_file_exits_1(capsys, monkeypatch, tmp_path):
+    # A valid matrix on stdin shows that the empty path does not fall back to it.
+    monkeypatch.setattr("sys.stdin", io.StringIO("2 0\n0 3\n"))
+    for path in [str(tmp_path / "missing.txt"), ""]:
+        assert run_cli(capsys, "snf", "--matrix", path) == (
+            1,
+            "",
+            f"error: cannot read matrix file {path!r}: No such file or directory\n",
+        )
 
 
 @pytest.mark.parametrize("text", ["", " \n\t\n"])

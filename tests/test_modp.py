@@ -5,14 +5,16 @@ import pytest
 
 from polygcd import (
     IntMatrix,
+    IntPoly,
     MonicIntPoly,
     common_root_mod_p,
+    is_prime,
     sylvester_matrix,
 )
 from polygcd.errors import InputError
-from polygcd.modp import _gcd_mod_p
+from polygcd.modp import _common_roots_mod_p, _gcd_mod_p
 
-from support import random_monic, rank_mod_p
+from support import naive_mul, random_monic, rank_mod_p
 
 P52 = 8936582237915716659950962253358945635793453256935559
 N52 = 8424432925592889329288197322308900672459420460792433
@@ -200,3 +202,29 @@ def test_common_root_value_is_actually_a_root_when_p_divides_r_once():
                 assert f.evaluate(c) % p == 0
                 assert g.evaluate(c) % p == 0
                 seen += 1
+
+
+# ---------------------------------------------------------------------------
+# all common roots mod p, as the lifting tree takes them
+# ---------------------------------------------------------------------------
+
+
+def test_common_roots_match_a_scan_of_every_residue():
+    # Random pairs around a shared factor: chosen roots, some repeated, times
+    # a random monic quadratic, irreducible mod p for about half the pairs.
+    # For p <= 7 the gcd often has degree >= p and takes the residue scan;
+    # otherwise it is split by Cantor-Zassenhaus.
+    rng = random.Random(31)
+    primes = [p for p in range(2, 1010) if is_prime(p)]
+    branches = {"scan": 0, "split": 0}
+    for _ in range(1200):
+        p = rng.choice(primes[:4] + primes[::8])
+        shared = [1, rng.randrange(p), rng.randrange(p)]
+        for _ in range(rng.randint(0, 6)):
+            shared = naive_mul(shared, [1, -rng.randrange(p)])
+        a = naive_mul(shared, [1] + [rng.randint(-p, p) for _ in range(rng.randint(0, 3))])
+        b = naive_mul(shared, [rng.randint(-p, p) for _ in range(rng.randint(1, 4))])
+        scan = [t for t in range(p) if IntPoly(a).evaluate(t) % p == IntPoly(b).evaluate(t) % p == 0]
+        assert _common_roots_mod_p(a, b, p) == scan, (a, b, p)
+        branches["scan" if len(_gcd_mod_p(a, b, p)) > p else "split"] += 1
+    assert min(branches.values()) >= 100, branches
