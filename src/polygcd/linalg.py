@@ -11,7 +11,8 @@ Past the monic f block, Bareiss takes four columns per pass while six or
 more remain, so each entry costs one exact division per four columns.  It
 steps one column at a time where the 4x4 pivot block is singular, once fewer
 than six columns remain, and in the f block, where a step skips the rows
-that are 0 in its column.
+that are 0 in its column.  The same pass leaves four (n-1)-minors in its
+trailing 2x2 block, from which snf proves a cyclic Smith form.
 The same walk of the sequence yields the first subresultant S_1, from which
 the atlas reads its generator.
 """
@@ -114,7 +115,17 @@ def det_bareiss(matrix: IntMatrix) -> int:
     skips the rows with x = 0, which it leaves as they are (any other step
     rescales them).  A column with no pivot makes the determinant 0, the
     last pivot is the determinant, and every division checks its remainder.
+    By Sylvester's identity, the trailing 2x2 block at step k = n-2 holds the
+    cofactors, up to sign, of entries (n, n), (n, n-1), (n-1, n) and
+    (n-1, n-1) of the row-permuted matrix: smith_normal_form reads them.
     """
+    return _bareiss(matrix)[0]
+
+
+def _bareiss(matrix: IntMatrix) -> tuple[int, tuple[int, ...]]:
+    # det_bareiss's elimination: (det, the trailing 2x2 block at the top of
+    # step k = n-2, after its row swap), the block () when n < 2 or a column
+    # has no pivot.  A four-column pass needs n-k >= 6, so none skips k = n-2.
     if matrix.rows != matrix.cols:
         raise InputError("determinant needs a square matrix")
     n = matrix.rows
@@ -122,13 +133,16 @@ def det_bareiss(matrix: IntMatrix) -> int:
     sign = 1
     prev = 1
     k = 0
+    minors = ()
     while k < n:
         pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
         if pivot_row is None:
-            return 0
+            return 0, ()
         if pivot_row != k:
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
+        if k == n - 2:
+            minors = (*a[k][k:], *a[k + 1][k:])
         row_k = a[k]
         pk = row_k[k]
         if pk != prev and n - k >= 6:
@@ -147,13 +161,14 @@ def det_bareiss(matrix: IntMatrix) -> int:
             row_i[k] = 0
         prev = pk
         k += 1
-    return sign * prev  # k == n: the last step's pivot is the determinant
+    return sign * prev, minors  # k == n: the last step's pivot is the determinant
 
 
 def _four_columns(a: list[list[int]], k: int, prev: int) -> int:
     # Bareiss's four-step pass over columns k..k+3, pivot rows k..k+3.
     # Returns the new pivot c0 = det(block) / prev^3, or 0 when the block is
-    # singular, touching no lower row.  cof[t] holds the cofactors of the
+    # singular, touching no lower row and computing only row 0's cofactors,
+    # the four that c0 needs.  cof[t] holds the cofactors of the
     # block's row t over prev^2 (its 3x3 minors are multiples of prev^2), so
     # u_t = x . cof[t] / prev is exact for every lower row x: it is
     # det(block with row t replaced by x) / prev^3.
@@ -163,9 +178,10 @@ def _four_columns(a: list[list[int]], k: int, prev: int) -> int:
         others = block[:t] + block[t + 1 :]
         minors = (_det3([row[:s] + row[s + 1 :] for row in others]) for s in range(4))
         cof.append([(-1) ** (s + t) * _exact_div(m, prev * prev) for s, m in enumerate(minors)])
-    c0 = _exact_div(sum(map(operator.mul, block[0], cof[0])), prev)
-    if c0 == 0:
-        return 0
+        if t == 0:
+            c0 = _exact_div(sum(map(operator.mul, block[0], cof[0])), prev)
+            if c0 == 0:
+                return 0
     tails = [row[k + 4 :] for row in a[k : k + 4]]
     for row_i in a[k + 4 :]:
         x = row_i[k : k + 4]

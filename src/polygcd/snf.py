@@ -8,15 +8,15 @@ for a square M with every d_i != 0 from prod(d) = |det M| (then det U *
 det V = +-1), otherwise from the Bareiss determinants of U and V.  A
 failure raises InvariantBreach since it can only mean a bug.
 
-With transforms=False, U and V are None, and a square M with n >= 2 and
-D = |det M| != 0 first tries a proof that d = (1, ..., 1, D) with no
-elimination: the gcd of the (n-1)-minors, Delta_{n-1} = d_1 * ... *
-d_{n-1}, divides every (n-1)-minor and D = Delta_n, so gcd(D, one
-cofactor) = 1 forces Delta_{n-1} = 1 (Newman, Integral Matrices, ch. II).
-It takes the gcd of D with the cofactors of entries (n, n), (n-1, n) and
-(n, n-1) in turn, each a Bareiss determinant, and stops at 1.  Otherwise
-the elimination runs as above, so each answer rests on that proof or on
-the U*M*V check.
+With transforms=False, U and V are None, and a square M with n >= 2
+first tries a proof that d = (1, ..., 1, D), D = |det M|, with no
+elimination to a diagonal: Delta_{n-1} = d_1 * ... * d_{n-1}, the gcd of
+the (n-1)-minors, divides D = Delta_n and each (n-1)-minor, so gcd(D, one
+of them) = 1 forces Delta_{n-1} = 1 (Newman, Integral Matrices, ch. II).
+det_bareiss's one pass over M gives D and four (n-1)-minors, its trailing
+2x2 block at step n-2.  Otherwise the elimination runs as above and its
+check reuses D, so M is eliminated once, and each answer rests on that
+proof or on the U*M*V check.
 
 Elimination to a diagonal is one routine, which clears column t below the
 pivot by row steps: on (A, U), then on the transposed trailing block of A
@@ -35,7 +35,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import InvariantBreach
-from .linalg import IntMatrix, det_bareiss
+from .linalg import IntMatrix, _bareiss, det_bareiss
 from .ntheory import ext_gcd
 
 __all__ = ["SnfResult", "smith_normal_form"]
@@ -56,12 +56,13 @@ def smith_normal_form(matrix: IntMatrix, transforms: bool = True) -> SnfResult:
     """Smith normal form of any rectangular integer matrix.
 
     With transforms=False, U and V are None and a cyclic d may be proved
-    from det M and a cofactor instead of by elimination.
+    from det M and an (n-1)-minor instead of by elimination.
     """
-    if not transforms:
-        cyclic = _cyclic_invariants(matrix)
-        if cyclic is not None:
-            return SnfResult(cyclic, None, None)
+    det = None  # det M once the certificate's Bareiss pass has run
+    if not transforms and matrix.rows == matrix.cols > 1:
+        det, minors = _bareiss(matrix)
+        if math.gcd(det, *minors) == 1:
+            return SnfResult((1,) * (matrix.rows - 1) + (abs(det),), None, None)
     rows, cols = matrix.rows, matrix.cols
     a = matrix.to_rows()
     u = IntMatrix.identity(rows).to_rows()
@@ -103,27 +104,8 @@ def smith_normal_form(matrix: IntMatrix, transforms: bool = True) -> SnfResult:
             d[i], d[j] = g, da * db // g
 
     result = SnfResult(tuple(d), IntMatrix.from_rows(u), IntMatrix.from_rows(zip(*vt)))
-    _verify(matrix, result)
+    _verify(matrix, result, det)
     return result if transforms else SnfResult(result.d, None, None)
-
-
-def _cyclic_invariants(matrix):
-    # (1, ..., 1, |det M|) when |det M| != 0 is coprime to one of the
-    # cofactors of entries (n, n), (n-1, n), (n, n-1), else None.
-    n = matrix.rows
-    if n != matrix.cols or n < 2:
-        return None
-    det = abs(det_bareiss(matrix))
-    if det == 0:
-        return None
-    a = matrix.to_rows()
-    common = det
-    for i, j in ((n - 1, n - 1), (n - 2, n - 1), (n - 1, n - 2)):
-        minor = [row[:j] + row[j + 1 :] for r, row in enumerate(a) if r != i]
-        common = math.gcd(common, det_bareiss(IntMatrix.from_rows(minor)))
-        if common == 1:
-            return (1,) * (n - 1) + (det,)
-    return None
 
 
 def _smallest_nonzero(a, t, rows, cols):
@@ -164,7 +146,7 @@ def _combine_rows(mat, i, j, w, x, y, z, start=0):
         ri[k], rj[k] = w * ri[k] + x * rj[k], y * ri[k] + z * rj[k]
 
 
-def _verify(matrix: IntMatrix, result: SnfResult) -> None:
+def _verify(matrix: IntMatrix, result: SnfResult, det_m: int | None = None) -> None:
     product = _product(_product(result.U.to_rows(), matrix.to_rows()), result.V.to_rows())
     size = len(result.d)
     for i, row in enumerate(product):
@@ -184,7 +166,7 @@ def _verify(matrix: IntMatrix, result: SnfResult) -> None:
     # det U * det M * det V = prod(d), so when M is square and nonsingular,
     # |det M| = prod(d) forces the integers det U and det V to be +-1.
     if matrix.rows == matrix.cols and all(result.d):
-        unimodular = math.prod(result.d) == abs(det_bareiss(matrix))
+        unimodular = math.prod(result.d) == abs(_bareiss(matrix)[0] if det_m is None else det_m)
     else:
         unimodular = abs(det_bareiss(result.U)) == 1 == abs(det_bareiss(result.V))
     if not unimodular:

@@ -179,6 +179,20 @@ def acceptance_pair_pool() -> tuple[tuple[MonicIntPoly, MonicIntPoly, int], ...]
     return tuple(raw)
 
 
+def three_cofactor_certificate(rows: list[list[int]]) -> tuple[int, ...] | None:
+    """(1, ..., 1, D) when D = |det M| != 0 is coprime to one of the cofactors
+    of entries (n, n), (n-1, n) and (n, n-1), else None: the cyclic Smith
+    form certificate of an earlier version, one determinant per minor."""
+    n, det = len(rows), abs(fraction_det(rows))
+    if n < 2 or det == 0:
+        return None
+    for i, j in ((n - 1, n - 1), (n - 2, n - 1), (n - 1, n - 2)):
+        minor = [row[:j] + row[j + 1 :] for r, row in enumerate(rows) if r != i]
+        if math.gcd(det, fraction_det(minor)) == 1:
+            return (1,) * (n - 1) + (det,)
+    return None
+
+
 def random_matrix(rng: random.Random, max_dim: int = 5, bound: int = 9) -> IntMatrix:
     rows = rng.randint(1, max_dim)
     cols = rng.randint(1, max_dim)

@@ -392,6 +392,23 @@ def test_det_divides_once_per_entry_for_each_four_columns(monkeypatch):
     assert len(divisions) <= 506 // 2
 
 
+def test_four_columns_gives_up_on_a_singular_block_after_row_0s_cofactors(monkeypatch):
+    # 6x6, so k = 0 is the only four-column attempt; its pivot block is
+    # singular (row 3 starts as row 0 + row 1), so only row 0's four 3x3
+    # minors are taken before the one-column steps run.
+    rng = random.Random(4)
+    rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
+    rows[0][0] = 2
+    rows[3][:4] = [x + y for x, y in zip(rows[0][:4], rows[1][:4])]
+    calls = []
+    det3 = polygcd.linalg._det3
+    monkeypatch.setattr(polygcd.linalg, "_det3", lambda m: calls.append(m) or det3(m))
+    det = det_bareiss(IntMatrix.from_rows(rows))
+    assert len(calls) == 4
+    monkeypatch.setattr(polygcd.linalg, "_four_columns", lambda a, k, prev: 0)
+    assert det == det_bareiss(IntMatrix.from_rows(rows)) == fraction_det(rows) != 0
+
+
 # ---------------------------------------------------------------------------
 # Resultants: worked examples and cross-validation
 # ---------------------------------------------------------------------------

@@ -21,8 +21,10 @@ from support import (
     invariant_factors,
     mat_mul,
     minor_gcd_products,
+    naive_det,
     random_matrix,
     rank_mod_p,
+    three_cofactor_certificate,
 )
 
 
@@ -164,23 +166,50 @@ def test_verify_rejects_a_result_that_does_not_reconstruct_diag_d(rows):
         polygcd.snf._verify(matrix, wrong)
 
 
+def count_eliminations(monkeypatch):
+    # Records (name, matrix) for each Bareiss pass that smith_normal_form runs.
+    seen = []
+    for name in ("_bareiss", "det_bareiss"):
+        run = getattr(polygcd.snf, name)
+        monkeypatch.setattr(polygcd.snf, name, lambda m, name=name, run=run: seen.append((name, m)) or run(m))
+    return seen
+
+
 @pytest.mark.parametrize(
     "rows, determinants_of",
     [
-        ([[2, 1], [4, 7]], "M"),
-        ([[2, 4], [1, 2]], "U, V"),
-        ([[2, 4, 6], [1, 0, 3]], "U, V"),
+        ([[2, 1], [4, 7]], "_bareiss(M)"),
+        ([[2, 4], [1, 2]], "det_bareiss(U), det_bareiss(V)"),
+        ([[2, 4, 6], [1, 0, 3]], "det_bareiss(U), det_bareiss(V)"),
     ],
     ids=["square", "singular", "rectangular"],
 )
 def test_verify_takes_det_m_only_when_m_is_square_and_nonsingular(monkeypatch, rows, determinants_of):
     matrix = IntMatrix.from_rows(rows)
-    seen = []
-    det = polygcd.snf.det_bareiss
-    monkeypatch.setattr(polygcd.snf, "det_bareiss", lambda m: seen.append(m) or det(m))
+    seen = count_eliminations(monkeypatch)
     result = smith_normal_form(matrix)
     names = {id(matrix): "M", id(result.U): "U", id(result.V): "V"}
-    assert ", ".join(names[id(m)] for m in seen) == determinants_of
+    assert ", ".join(f"{name}({names[id(m)]})" for name, m in seen) == determinants_of
+
+
+@pytest.mark.parametrize("transforms", [True, False])
+@pytest.mark.parametrize(
+    "rows, passes_over_m",
+    [
+        ([[2, 1], [4, 7]], (1, 1)),  # certified: gcd(10, 1) = 1
+        ([[2, 0, 0], [0, 2, 0], [0, 0, 3]], (1, 1)),  # declined: d = (1, 2, 6)
+        ([[2, 4], [1, 2]], (0, 1)),  # singular: U and V prove unimodularity
+    ],
+    ids=["certified", "declined", "singular"],
+)
+def test_smith_normal_form_eliminates_a_square_m_at_most_once(monkeypatch, rows, passes_over_m, transforms):
+    # Once when M is nonsingular, whether the certificate answers or not; a
+    # singular M is eliminated only by the certificate's pass.
+    matrix = IntMatrix.from_rows(rows)
+    d = invariant_factors(matrix)
+    seen = count_eliminations(monkeypatch)
+    assert smith_normal_form(matrix, transforms=transforms).d == d
+    assert sum(m is matrix for _, m in seen) == passes_over_m[not transforms]
 
 
 @pytest.mark.parametrize("a", [5, -7])
@@ -193,8 +222,26 @@ def test_snf_of_a_34x34_sylvester_matrix_with_a_2_mod_3(a):
 
 
 # ---------------------------------------------------------------------------
-# transforms=False: the cyclic certificate from det M and a cofactor
+# transforms=False: the cyclic certificate from det M and an (n-1)-minor
 # ---------------------------------------------------------------------------
+
+
+class Eliminated(Exception):
+    pass
+
+
+def certificate(rows):
+    # d when smith_normal_form(transforms=False) proves it from the Bareiss
+    # pass alone, None when it falls back to the elimination.
+    def eliminate(*args):
+        raise Eliminated
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polygcd.snf, "_smallest_nonzero", eliminate)
+        try:
+            return smith_normal_form(IntMatrix.from_rows(rows), transforms=False).d
+        except Eliminated:
+            return None
 
 
 def assert_same_d_without_transforms(matrix):
@@ -232,53 +279,92 @@ def test_d_without_transforms_equals_d_of_the_elimination(case):
         [[2, 4, 6], [1, 0, 3]],
         [[2], [4], [6]],
         [[2, 0, 0], [0, 2, 0], [0, 0, 3]],
+        [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
         [[2, 0], [0, 1]],
         [[2, 4], [1, 2]],
         sylvester_matrix(MonicIntPoly.parse("x^17+9"), MonicIntPoly.parse("(x+1)^17+9")).to_rows(),
     ],
-    ids=["1x1", "wide", "tall", "diag(2,2,3)", "cyclic, declined", "singular", "x^17+9"],
+    ids=["1x1", "wide", "tall", "diag(2,2,3)", "cyclic, declined", "cyclic, certified", "singular", "x^17+9"],
 )
 def test_d_without_transforms_on_fixed_matrices(rows):
     assert_same_d_without_transforms(IntMatrix.from_rows(rows))
 
 
+# No case needs a row swap, so the block holds the cofactors of M itself,
+# and the named one is the first of the four that is coprime to |det M|.
 @pytest.mark.parametrize(
-    "rows, d",
+    "rows, coprime, d",
     [
-        ([[5, 3], [2, 1]], (1, 1)),  # |det| = 1
-        ([[2, 0], [1, 1]], (1, 2)),  # first cofactor 2 shares 2 with det, the second is 1
-        ([[2, 1], [2, 2]], (1, 2)),  # the first two share 2, the third is 1
+        ([[5, 3], [2, 1]], 0, (1, 1)),  # |det| = 1
+        ([[3, -2, -2], [-2, 1, -2], [2, -2, 4]], 0, (1, 1, 12)),
+        ([[1, 3, 1], [0, 6, 1], [6, -2, 2]], 1, (1, 1, 4)),
+        ([[3, 2, 3], [2, 6, -2], [0, 3, 4]], 2, (1, 1, 92)),
+        ([[1, 4, 1], [-2, 2, 0], [2, -2, 1]], 3, (1, 1, 10)),
+        ([[2, 1], [2, 2]], 1, (1, 2)),
+        ([[2, 0], [1, 1]], 2, (1, 2)),
+        ([[2, 0], [0, 1]], 3, (1, 2)),  # 2 divides det and every other entry
+    ],
+    ids=[
+        "|det| = 1",
+        "(n, n)",
+        "(n, n-1)",
+        "(n-1, n)",
+        "(n-1, n-1)",
+        "2x2 (n, n-1)",
+        "2x2 (n-1, n)",
+        "2x2 (n-1, n-1)",
     ],
 )
-def test_certificate_tries_three_cofactors_in_turn(rows, d):
-    assert polygcd.snf._cyclic_invariants(IntMatrix.from_rows(rows)) == d
+def test_certificate_takes_each_minor_of_the_trailing_block(rows, coprime, d):
+    n, det = len(rows), naive_det(rows)
+    cofactors = [
+        naive_det([row[:j] + row[j + 1 :] for r, row in enumerate(rows) if r != i])
+        for i, j in ((n - 1, n - 1), (n - 1, n - 2), (n - 2, n - 1), (n - 2, n - 2))
+    ]
+    assert [t for t, c in enumerate(cofactors) if math.gcd(det, c) == 1][:1] == [coprime]
+    assert certificate(rows) == d
 
 
-def test_certificate_answers_the_34x34_sylvester_matrix_without_elimination(monkeypatch):
+def test_certificate_answers_the_34x34_sylvester_matrix_without_elimination():
     f, g = MonicIntPoly.parse("x^17+9"), MonicIntPoly.parse("(x+1)^17+9")
     m = sylvester_matrix(f, g)
     expected = (1,) * 33 + (abs(resultant_prs(f, g)),)
-    assert polygcd.snf._cyclic_invariants(m) == expected
-
-    def no_elimination(*args):
-        raise AssertionError("the elimination ran")
-
-    monkeypatch.setattr(polygcd.snf, "_smallest_nonzero", no_elimination)
-    assert smith_normal_form(m, transforms=False) == SnfResult(expected, None, None)
+    assert certificate(m.to_rows()) == expected
 
 
 @pytest.mark.parametrize(
     "rows",
     [
         [[2, 0, 0], [0, 2, 0], [0, 0, 3]],  # d = (1, 2, 6) is not cyclic
-        [[2, 0], [0, 1]],  # cyclic, but 2 divides det and all three cofactors
+        [[2, 0, 0], [0, 1, 0], [0, 0, 1]],  # cyclic, but 2 divides det and the block's four minors
         [[2, 4], [1, 2]],  # singular
         [[2, 4, 6], [1, 0, 3]],  # not square
         [[6]],  # 1x1
     ],
 )
 def test_certificate_declines(rows):
-    assert polygcd.snf._cyclic_invariants(IntMatrix.from_rows(rows)) is None
+    assert certificate(rows) is None
+
+
+# Dense and sparse, 2- to 9-square: on this sample the trailing block
+# certifies all that the rule of an earlier version, the cofactors of
+# entries (n, n), (n-1, n) and (n, n-1) in turn, certifies, with the
+# elimination's d.  Not always: when the pivoting lifts one of the last two
+# rows, the block holds other minors, and [[0, -3, -4], [8, 0, 0],
+# [5, -8, 0]] is certified by the old (n-1, n) cofactor alone.
+def test_certificate_certifies_all_that_three_fixed_cofactors_certify():
+    rng = random.Random(32)
+    only_the_block = 0
+    for _ in range(320):
+        n, zeros = rng.randint(2, 9), rng.choice([0, 0.3, 0.6, 0.85])
+        rows = [[0 if rng.random() < zeros else rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        old, new = three_cofactor_certificate(rows), certificate(rows)
+        if old is not None:
+            assert new == old
+        if new is not None:
+            assert new == invariant_factors(IntMatrix.from_rows(rows))
+            only_the_block += old is None
+    assert only_the_block > 0
 
 
 # ---------------------------------------------------------------------------
